@@ -25,7 +25,17 @@
 // Multiple -count runs of one benchmark are folded to their minimum
 // ns/op (the least-noise estimator for one-shot runs); the trailing
 // -N GOMAXPROCS suffix is stripped so baselines compare across
-// machines. Exit status: 0 on success (warnings included), 1 on I/O or
+// machines. -update rewrites the baseline entries the input has and
+// keeps the others, so one family can be re-measured alone.
+//
+// The baseline records the host it was measured on (CPU model, nproc,
+// GOMAXPROCS, Go version), taken from the machine benchcmp runs on —
+// run it in the same pipeline as `go test`. A comparison against a
+// baseline from another host, or one that records none, opens with a
+// cross-host warning: its deltas then measure the machines as well as
+// the code. The warning changes no threshold and no exit status.
+//
+// Exit status: 0 on success (warnings included), 1 on I/O or
 // parse failures, 2 on command-line errors, 3 when a gated family
 // regressed beyond -fail-threshold.
 package main
@@ -39,6 +49,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -50,8 +61,50 @@ import (
 type baselineFile struct {
 	// Note documents how the numbers were produced.
 	Note string `json:"note"`
+	// Host is the machine of the last -update; nil in baselines
+	// written before hosts were recorded.
+	Host *hostRecord `json:"host,omitempty"`
 	// Benchmarks maps normalized benchmark names to ns/op.
 	Benchmarks map[string]float64 `json:"benchmarks"`
+}
+
+// hostRecord identifies the machine a set of timings was measured on.
+type hostRecord struct {
+	CPU        string `json:"cpu"`
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go"`
+}
+
+func (h hostRecord) String() string {
+	return fmt.Sprintf("cpu=%q nproc=%d gomaxprocs=%d go=%s", h.CPU, h.NProc, h.GOMAXPROCS, h.GoVersion)
+}
+
+// currentHost describes the machine this process runs on.
+func currentHost() hostRecord {
+	h := hostRecord{CPU: "unknown", NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
+	if b, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, l := range strings.Split(string(b), "\n") {
+			if k, v, ok := strings.Cut(l, ":"); ok && strings.TrimSpace(k) == "model name" {
+				h.CPU = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return h
+}
+
+// hostWarning returns the cross-host annotation for comparing a
+// baseline measured on base (nil: not recorded) with a run on cur, or
+// "" when both are the same machine.
+func hostWarning(base *hostRecord, cur hostRecord) string {
+	switch {
+	case base == nil:
+		return fmt.Sprintf("::warning title=cross-host baseline::BENCH_BASELINE.json records no host; this run is on %s, so deltas may measure the machines as well as the code\n", cur)
+	case *base != cur:
+		return fmt.Sprintf("::warning title=cross-host baseline::BENCH_BASELINE.json was measured on %s; this run is on %s, so deltas measure the machines as well as the code\n", *base, cur)
+	}
+	return ""
 }
 
 // benchLine matches one result line of `go test -bench` output:
@@ -165,7 +218,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		threshold    = fs.Float64("threshold", 20, "warn when ns/op grows more than this percent")
 		failFams     = fs.String("fail-families", "", "comma-separated benchmark family prefixes (matched after \"Benchmark\") whose regressions fail the run")
 		failThresh   = fs.Float64("fail-threshold", 30, "fail when a gated family's ns/op grows more than this percent")
-		update       = fs.Bool("update", false, "rewrite the baseline from the input instead of comparing")
+		update       = fs.Bool("update", false, "rewrite the baseline entries the input has, and its host record, instead of comparing")
 		note         = fs.String("note", "go test -run='^$' -bench=. -benchtime=1x -count=3 . (min of 3)", "provenance note stored with -update")
 	)
 	if err := cli.Parse(fs, args); err != nil {
@@ -188,8 +241,25 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 1
 	}
 
+	host := currentHost()
 	if *update {
-		buf, err := json.MarshalIndent(baselineFile{Note: *note, Benchmarks: current}, "", "  ")
+		fromInput := len(current)
+		if raw, err := os.ReadFile(*baselinePath); err == nil {
+			var old baselineFile
+			if err := json.Unmarshal(raw, &old); err != nil {
+				fmt.Fprintf(stderr, "benchcmp: parsing %s: %v\n", *baselinePath, err)
+				return 1
+			}
+			for name, ns := range old.Benchmarks {
+				if _, ok := current[name]; !ok {
+					current[name] = ns
+				}
+			}
+		} else if !errors.Is(err, os.ErrNotExist) {
+			fmt.Fprintf(stderr, "benchcmp: %v\n", err)
+			return 1
+		}
+		buf, err := json.MarshalIndent(baselineFile{Note: *note, Host: &host, Benchmarks: current}, "", "  ")
 		if err != nil {
 			fmt.Fprintf(stderr, "benchcmp: %v\n", err)
 			return 1
@@ -198,7 +268,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "benchcmp: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "wrote %d benchmarks to %s\n", len(current), *baselinePath)
+		fmt.Fprintf(stdout, "wrote %d benchmarks (%d from the input) to %s\n", len(current), fromInput, *baselinePath)
 		return 0
 	}
 
@@ -218,6 +288,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			families = append(families, f)
 		}
 	}
+	fmt.Fprint(stdout, hostWarning(base.Host, host))
 	failures, _ := compare(base.Benchmarks, current, *threshold, *failThresh, families, stdout)
 	if failures > 0 {
 		return 3

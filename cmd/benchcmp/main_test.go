@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -224,5 +225,69 @@ func TestRunBadCommandLines(t *testing.T) {
 	}
 	if code := run(nil, strings.NewReader("PASS"), &bytes.Buffer{}, &bytes.Buffer{}); code != 1 {
 		t.Error("empty input should exit 1")
+	}
+}
+
+// Cross-host comparisons are flagged, the way perfbench -compare
+// flags them: a baseline from another machine, or one that records no
+// host, gets one warning annotation; the same machine gets none.
+func TestHostWarning(t *testing.T) {
+	here := hostRecord{CPU: "Xeon", NProc: 2, GOMAXPROCS: 2, GoVersion: "go1.24.0"}
+	other := func(edit func(*hostRecord)) *hostRecord {
+		h := here
+		edit(&h)
+		return &h
+	}
+	cases := []struct {
+		name string
+		base *hostRecord
+		want bool
+	}{
+		{"same host", &here, false},
+		{"no host recorded", nil, true},
+		{"other cpu", other(func(h *hostRecord) { h.CPU = "EPYC" }), true},
+		{"other nproc", other(func(h *hostRecord) { h.NProc = 8 }), true},
+		{"other gomaxprocs", other(func(h *hostRecord) { h.GOMAXPROCS = 1 }), true},
+		{"other go", other(func(h *hostRecord) { h.GoVersion = "go1.23.4" }), true},
+	}
+	for _, c := range cases {
+		got := hostWarning(c.base, here)
+		if (got != "") != c.want {
+			t.Errorf("%s: warning %q, want warning=%v", c.name, got, c.want)
+		}
+		if c.want && !strings.HasPrefix(got, "::warning title=cross-host baseline::") {
+			t.Errorf("%s: %q is not a cross-host annotation", c.name, got)
+		}
+	}
+}
+
+// -update re-measures only what the input holds: entries absent from
+// the input keep their values, and the host record is written.
+func TestRunUpdateKeepsOtherEntries(t *testing.T) {
+	baseline := filepath.Join(t.TempDir(), "BENCH_BASELINE.json")
+	old := `{"note": "old", "benchmarks": {"BenchmarkKeep/x": 42, "BenchmarkE1_MultiprocExact/n=12": 7}}`
+	if err := os.WriteFile(baseline, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-baseline", baseline, "-update"}, strings.NewReader(sampleBench), &stdout, &stderr); code != 0 {
+		t.Fatalf("update exited %d: %s", code, stderr.String())
+	}
+	raw, err := os.ReadFile(baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got baselineFile
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Benchmarks["BenchmarkKeep/x"] != 42 {
+		t.Fatalf("entry absent from the input was not kept: %v", got.Benchmarks)
+	}
+	if got.Benchmarks["BenchmarkE1_MultiprocExact/n=12"] != 200000 {
+		t.Fatalf("entry present in the input was not rewritten: %v", got.Benchmarks)
+	}
+	if got.Host == nil || *got.Host != currentHost() {
+		t.Fatalf("host record %+v, want %+v", got.Host, currentHost())
 	}
 }

@@ -17,7 +17,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/feas"
+	"repro/internal/exact"
 	"repro/internal/poly"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -231,7 +231,9 @@ func FuzzSessionDeltas(f *testing.F) {
 
 // FuzzHeuristicQuality certifies the heuristic tier against the exact
 // tier on every decodable instance, for both objectives: the two tiers
-// agree on feasibility; heuristic schedules are valid; the cost is
+// agree on feasibility, and with Hall's condition (both take their
+// verdict from the greedy, so the Hall oracle is the independent
+// check); heuristic schedules are valid; the cost is
 // sandwiched LowerBound ≤ exact ≤ heuristic (with the exact tier
 // certifying itself: LowerBound == cost); cached heuristic solves are
 // bit-identical to uncached ones; ModeAuto under an unbounded
@@ -244,6 +246,7 @@ func FuzzHeuristicQuality(f *testing.F) {
 		if !ok {
 			t.Skip()
 		}
+		feasible := exact.HallFeasible(in)
 		for _, base := range []Solver{
 			{},
 			{Objective: ObjectivePower, Alpha: alpha},
@@ -261,9 +264,9 @@ func FuzzHeuristicQuality(f *testing.F) {
 
 			want, exactErr := exact.Solve(in)
 			got, heurErr := h.Solve(in)
-			if (exactErr == nil) != (heurErr == nil) {
-				t.Fatalf("tiers disagree on feasibility: exact %v, heuristic %v (jobs %v procs %d)",
-					exactErr, heurErr, in.Jobs, in.Procs)
+			if (exactErr == nil) != (heurErr == nil) || (exactErr == nil) != feasible {
+				t.Fatalf("feasibility disagreement: exact %v, heuristic %v, Hall %v (jobs %v procs %d)",
+					exactErr, heurErr, feasible, in.Jobs, in.Procs)
 			}
 			if exactErr != nil {
 				for name, err := range map[string]error{"exact": exactErr, "heuristic": heurErr} {
@@ -409,7 +412,7 @@ func FuzzOnlineCommit(f *testing.F) {
 				}
 				checkPrefix("after add")
 				revealed := ss.Instance()
-				feasible := feas.FeasibleOneInterval(revealed)
+				feasible := exact.HallFeasible(revealed)
 				sol, err := ss.Resolve()
 				checkPrefix("after resolve")
 				if feasible != (err == nil) {

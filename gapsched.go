@@ -142,7 +142,8 @@ func MinimizePower(in Instance, alpha float64) (PowerResult, error) {
 }
 
 // Feasible reports whether the one-interval instance admits any
-// feasible schedule (Hall's condition).
+// feasible schedule (Hall's condition, decided in O(n log n) by the
+// heuristic tier's greedy). An invalid instance is infeasible.
 func Feasible(in Instance) bool { return feas.FeasibleOneInterval(in) }
 
 // FeasibleMulti reports whether the multi-interval instance admits any

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -69,6 +70,10 @@ var infinite = math.Inf(1)
 // engine; a pool keeps the recursion allocation-free past warm-up.
 var rightsPool = sync.Pool{New: func() any { return new([]float64) }}
 
+// pendPool recycles compute's per-node pendingSweep buffers, for the
+// same reason.
+var pendPool = sync.Pool{New: func() any { return new([]int) }}
+
 // node identifies one subproblem. Interval endpoints are stored as
 // indices into the engine's t1val/t2val tables, not as raw times, so
 // the memo table can be a flat array instead of a hash map.
@@ -110,6 +115,11 @@ type engine[M costModel] struct {
 	// t2val[G] is the virtual end (grid[G−1]+1). Both lists are strictly
 	// increasing, so index pairs identify intervals uniquely.
 	t1val, t2val []int
+
+	// relGI[j] is the grid index of job j's release. Every release is a
+	// grid point (under FullGrid too), so pendingAfter's "released after
+	// grid[gi]" is "relGI[j] > gi", which pendingSweep buckets.
+	relGI []int
 }
 
 func newEngine[M costModel](b *base, m M) *engine[M] {
@@ -134,6 +144,10 @@ func newEngine[M costModel](b *base, m M) *engine[M] {
 		e.t2val[i] = t
 	}
 	e.t2val[g] = b.grid[g-1] + 1
+	e.relGI = make([]int, len(b.jobs))
+	for j, job := range b.jobs {
+		e.relGI[j] = sort.SearchInts(b.grid, job.Release)
+	}
 	return e
 }
 
@@ -289,13 +303,33 @@ func (e *engine[M]) compute(nd node, budget float64) entry {
 	// Case B: j_k at a grid time t′ with t1 ≤ t′ < t2.
 	giLo, giHi := e.splitRange(job, t1, t2)
 	if giLo < giHi {
-		rights := getRights(e.p)
+		rights := lease[float64](&rightsPool, e.p+1)
+		pend := lease[int](&pendPool, giHi-giLo)
+		e.pendingSweep(list, k, giLo, *pend)
 		for gi := giLo; gi < giHi; gi++ {
-			best = e.evalSplit(nd, gi, t1, t2, list, budget, best, rights)
+			best = e.evalSplit(nd, gi, (*pend)[gi-giLo], t1, t2, budget, best, rights)
 		}
-		putRights(rights)
+		pendPool.Put(pend)
+		rightsPool.Put(rights)
 	}
 	return best
+}
+
+// pendingSweep sets pend[x] = pendingAfter(e.jobs, list, k,
+// grid[giLo+x]) for every x < len(pend) in one O(k + len(pend)) pass:
+// each of the first k−1 jobs lands in the bucket of the last candidate
+// it is pending after, and suffix sums turn the buckets into counts.
+func (e *engine[M]) pendingSweep(list []int, k, giLo int, pend []int) {
+	clear(pend)
+	w := len(pend)
+	for _, j := range list[:k-1] {
+		if r := e.relGI[j] - giLo; r > 0 {
+			pend[min(r, w)-1]++
+		}
+	}
+	for x := w - 2; x >= 0; x-- {
+		pend[x] += pend[x+1]
+	}
 }
 
 // splitRange is the grid index range of j_k's case-B candidate times:
@@ -312,23 +346,23 @@ func (e *engine[M]) splitRange(job sched.Job, t1, t2 int) (int, int) {
 	return e.gridRange(lo, hi)
 }
 
-// getRights leases a right-child cache of width p+1 from rightsPool.
-func getRights(p int) *[]float64 {
-	rp := rightsPool.Get().(*[]float64)
-	if cap(*rp) <= p {
-		*rp = make([]float64, p+1)
+// lease takes a buffer of length n from pool, which must hold *[]T;
+// the caller puts it back when done. Contents are unspecified.
+func lease[T any](pool *sync.Pool, n int) *[]T {
+	bp := pool.Get().(*[]T)
+	if cap(*bp) < n {
+		*bp = make([]T, n)
 	} else {
-		*rp = (*rp)[:p+1]
+		*bp = (*bp)[:n]
 	}
-	return rp
+	return bp
 }
 
-func putRights(rp *[]float64) { rightsPool.Put(rp) }
-
 // evalSplit evaluates every case-B candidate that places j_k at grid
-// index gi, folding improvements into best (strict <, so the first
-// candidate attaining the minimum is the one recorded) and returns the
-// result. thr0 is the caller's branch-and-bound budget; children are
+// index gi, where i of j_k's k−1 predecessors are released after t′
+// and go right (pendingAfter), folding improvements into best (strict
+// <, so the first candidate attaining the minimum is the one recorded)
+// and returns the result. thr0 is the caller's branch-and-bound budget; children are
 // evaluated under min(thr0, best so far). Under an infinite thr0
 // pruning is disabled outright — children inherit the infinite budget
 // rather than the running best, reproducing the unbounded recursion
@@ -337,7 +371,7 @@ func putRights(rp *[]float64) { rightsPool.Put(rp) }
 // The serial recursion calls this with best threaded across all of the
 // node's grid points; the parallel root calls it per gi with an empty
 // best and merges in gi order, which lands on the identical entry.
-func (e *engine[M]) evalSplit(nd node, gi, t1, t2 int, list []int, thr0 float64, best entry, rights *[]float64) entry {
+func (e *engine[M]) evalSplit(nd node, gi, i, t1, t2 int, thr0 float64, best entry, rights *[]float64) entry {
 	k, l1, l2, c2 := nd.k, nd.l1, nd.l2, nd.c2
 	thr := func() float64 {
 		if thr0 >= infinite {
@@ -350,7 +384,6 @@ func (e *engine[M]) evalSplit(nd node, gi, t1, t2 int, list []int, thr0 float64,
 	}
 
 	tp := e.grid[gi]
-	i := pendingAfter(e.jobs, list, k, tp)
 	kL := k - 1 - i
 
 	// The right child of a split at t′ = grid[gi] does not depend on the
@@ -544,8 +577,8 @@ func (e *engine[M]) rootParallel(nd node, budget float64) entry {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			rights := getRights(e.p)
-			defer putRights(rights)
+			rights := lease[float64](&rightsPool, e.p+1)
+			defer rightsPool.Put(rights)
 			for {
 				x := int(cursor.Add(1)) - 1
 				if x >= tasks {
@@ -559,7 +592,8 @@ func (e *engine[M]) rootParallel(nd node, budget float64) entry {
 						}
 					}
 				}
-				local := e.evalSplit(nd, giLo+x, t1, t2, list, thr0,
+				gi := giLo + x
+				local := e.evalSplit(nd, gi, pendingAfter(e.jobs, list, k, e.grid[gi]), t1, t2, thr0,
 					entry{cost: infinite, choice: choiceNone}, rights)
 				results[x] = local
 				if local.cost < infinite {

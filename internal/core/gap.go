@@ -1,9 +1,9 @@
 package core
 
 import (
+	"errors"
 	"math"
 
-	"repro/internal/feas"
 	"repro/internal/heur"
 	"repro/internal/sched"
 )
@@ -71,9 +71,10 @@ type Options struct {
 	// the horizon. The optimum is unchanged; the state count grows.
 	FullGrid bool
 
-	// NoPrune disables branch-and-bound pruning (no greedy incumbent, no
-	// per-node bound checks). The optimum and the reconstructed schedule
-	// are identical either way — pruning only skips subproblems that
+	// NoPrune disables branch-and-bound pruning (no incumbent budget, no
+	// per-node bound checks; the greedy still runs for its feasibility
+	// verdict). The optimum and the reconstructed schedule are
+	// identical either way — pruning only skips subproblems that
 	// provably cannot improve on the incumbent — so this exists for
 	// ablation and for the fuzz lanes that certify that identity.
 	NoPrune bool
@@ -104,8 +105,14 @@ func SolveGapsOpt(in sched.Instance, opts Options) (Result, error) {
 	if n == 0 {
 		return Result{Schedule: sched.Schedule{Procs: in.Procs}}, nil
 	}
-	if !feas.FeasibleOneInterval(in) {
+	// The greedy is an exact feasibility oracle (heur package doc): its
+	// verdict is this solve's, and its schedule seeds the budget.
+	s, err := heur.Greedy(in)
+	if errors.Is(err, heur.ErrInfeasible) {
 		return Result{}, ErrInfeasible
+	}
+	if err != nil {
+		return Result{}, err
 	}
 	b := newBase(in)
 	if opts.FullGrid {
@@ -117,9 +124,7 @@ func SolveGapsOpt(in sched.Instance, opts Options) (Result, error) {
 	}
 	budget := infinite
 	if !opts.NoPrune {
-		if s, err := heur.Greedy(in); err == nil {
-			budget = incumbentBudget(float64(s.Spans()))
-		}
+		budget = incumbentBudget(float64(s.Spans()))
 	}
 	e := newEngine(b, gapModel{p: b.p})
 	cost, placed, states, ok := e.run(n, budget)
@@ -131,7 +136,7 @@ func SolveGapsOpt(in sched.Instance, opts Options) (Result, error) {
 		cost, placed, states, ok = e.run(n, infinite)
 	}
 	if !ok {
-		// Cannot happen after the Hall pre-check; defensive.
+		// Cannot happen: the greedy found a feasible schedule; defensive.
 		return Result{}, ErrInfeasible
 	}
 	schedule, err := assemble(n, in.Procs, placed)

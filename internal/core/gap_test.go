@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/exact"
-	"repro/internal/feas"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -129,7 +128,7 @@ func TestSolveGapsFeasibilityAgreesWithHall(t *testing.T) {
 		p := 1 + rng.Intn(2)
 		in := workload.Multiproc(rng, n, p, 8, 3)
 		_, feasible := exact.SpansOneInterval(in)
-		if hall := feas.FeasibleOneInterval(in); hall != feasible {
+		if hall := exact.HallFeasible(in); hall != feasible {
 			t.Fatalf("trial %d: Hall=%v oracle=%v (p=%d jobs %v)", trial, hall, feasible, p, in.Jobs)
 		}
 	}

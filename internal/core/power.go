@@ -1,7 +1,8 @@
 package core
 
 import (
-	"repro/internal/feas"
+	"errors"
+
 	"repro/internal/heur"
 	"repro/internal/sched"
 )
@@ -99,14 +100,18 @@ func SolvePowerOpt(in sched.Instance, alpha float64, opts Options) (PowerResult,
 	if n == 0 {
 		return PowerResult{Schedule: sched.Schedule{Procs: in.Procs}}, nil
 	}
-	if !feas.FeasibleOneInterval(in) {
+	// Feasibility verdict and incumbent from one greedy run, as in
+	// SolveGapsOpt.
+	s, err := heur.Greedy(in)
+	if errors.Is(err, heur.ErrInfeasible) {
 		return PowerResult{}, ErrInfeasible
+	}
+	if err != nil {
+		return PowerResult{}, err
 	}
 	budget := infinite
 	if !opts.NoPrune {
-		if s, err := heur.Greedy(in); err == nil {
-			budget = incumbentBudget(s.PowerCost(alpha))
-		}
+		budget = incumbentBudget(s.PowerCost(alpha))
 	}
 	b := newBase(in)
 	e := newEngine(b, powerModel{p: b.p, alpha: alpha})
@@ -118,7 +123,7 @@ func SolvePowerOpt(in sched.Instance, alpha float64, opts Options) (PowerResult,
 		cost, placed, states, ok = e.run(n, infinite)
 	}
 	if !ok {
-		// Cannot happen after the Hall pre-check; defensive.
+		// Cannot happen: the greedy found a feasible schedule; defensive.
 		return PowerResult{}, ErrInfeasible
 	}
 	schedule, err := assemble(n, in.Procs, placed)

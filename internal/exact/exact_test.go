@@ -167,3 +167,39 @@ func assertPanics(t *testing.T, f func()) {
 	}()
 	f()
 }
+
+// TestHallFeasibleMatchesSpansOracle: the Hall-condition oracle agrees
+// with the bitmask DP's feasibility verdict on random instances, also
+// shifted to large absolute coordinates; invalid instances are
+// infeasible, and a window pair spanning more than MaxInt time units
+// does not overflow into a false violation.
+func TestHallFeasibleMatchesSpansOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	for trial := 0; trial < 300; trial++ {
+		in := workload.Multiproc(rng, 1+rng.Intn(8), 1+rng.Intn(3), 2+rng.Intn(10), 1+rng.Intn(4))
+		_, want := SpansOneInterval(in)
+		if trial%2 == 1 {
+			for i := range in.Jobs {
+				in.Jobs[i].Release -= 1 << 61
+				in.Jobs[i].Deadline -= 1 << 61
+			}
+		}
+		if got := HallFeasible(in); got != want {
+			t.Fatalf("trial %d: Hall %v, bitmask oracle %v (jobs %v procs %d)", trial, got, want, in.Jobs, in.Procs)
+		}
+	}
+	job := sched.Job{Release: 0, Deadline: 1}
+	if HallFeasible(sched.Instance{Jobs: []sched.Job{job}}) {
+		t.Fatal("zero processors reported feasible")
+	}
+	if HallFeasible(sched.NewInstance([]sched.Job{{Release: 2, Deadline: 1}})) {
+		t.Fatal("empty window reported feasible")
+	}
+	if !HallFeasible(sched.Instance{Procs: 1}) {
+		t.Fatal("empty instance reported infeasible")
+	}
+	far := sched.NewInstance([]sched.Job{{Release: math.MinInt + 1, Deadline: math.MinInt + 1}, {Release: math.MaxInt - 1, Deadline: math.MaxInt - 1}})
+	if !HallFeasible(far) {
+		t.Fatal("two far-apart unit jobs reported infeasible")
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/exact"
 	"repro/internal/feas"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -88,10 +89,49 @@ func TestEDFMatchesHall(t *testing.T) {
 		p := 1 + rng.Intn(3)
 		in := workload.Multiproc(rng, n, p, 12, 4)
 		_, edfOK := feas.EDFOneInterval(in)
-		hall := feas.FeasibleOneInterval(in)
+		hall := exact.HallFeasible(in)
 		if edfOK != hall {
 			t.Fatalf("trial %d: EDF=%v Hall=%v (p=%d jobs %v)", trial, edfOK, hall, p, in.Jobs)
 		}
+	}
+}
+
+// TestFeasibleOneIntervalMatchesHall pins the O(n log n) verdict
+// against the Hall-condition oracle, on feasible and infeasible draws,
+// at large absolute coordinates, and on invalid instances (no
+// processors, an empty window), which both report infeasible.
+func TestFeasibleOneIntervalMatchesHall(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	verdicts := map[bool]int{}
+	for trial := 0; trial < 600; trial++ {
+		in := workload.Multiproc(rng, 1+rng.Intn(10), 1+rng.Intn(3), 2+rng.Intn(10), 1+rng.Intn(4))
+		switch trial % 6 {
+		case 1, 2:
+			off := 1 << 61
+			if trial%6 == 2 {
+				off = -off
+			}
+			for i := range in.Jobs {
+				in.Jobs[i].Release += off
+				in.Jobs[i].Deadline += off
+			}
+		case 3:
+			in.Procs = 0
+		case 4:
+			j := &in.Jobs[rng.Intn(len(in.Jobs))]
+			j.Release, j.Deadline = j.Deadline+1, j.Release
+		}
+		want := exact.HallFeasible(in)
+		if got := feas.FeasibleOneInterval(in); got != want {
+			t.Fatalf("trial %d: FeasibleOneInterval %v, Hall %v (jobs %v procs %d)", trial, got, want, in.Jobs, in.Procs)
+		}
+		verdicts[want]++
+	}
+	if verdicts[true] < 60 || verdicts[false] < 60 {
+		t.Fatalf("verdicts %v: the draw no longer exercises both answers", verdicts)
+	}
+	if !feas.FeasibleOneInterval(sched.Instance{Procs: 1}) {
+		t.Fatal("empty instance reported infeasible")
 	}
 }
 

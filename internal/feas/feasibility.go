@@ -3,55 +3,19 @@ package feas
 import (
 	"sort"
 
+	"repro/internal/heur"
 	"repro/internal/sched"
 )
 
 // FeasibleOneInterval reports whether every job of the one-interval
-// p-processor instance can be scheduled, using the Hall condition for
-// interval bipartite graphs: for every window [s, e] over critical
-// endpoints, the number of jobs whose window lies inside [s, e] must not
-// exceed p·(e − s + 1).
+// p-processor instance can be scheduled. It takes the verdict of
+// heur.Greedy, an exact feasibility oracle (heur package doc), in
+// O(n log n); an invalid instance is reported infeasible. The tests
+// hold it against exact.HallFeasible, which checks Hall's condition
+// directly.
 func FeasibleOneInterval(in sched.Instance) bool {
-	if len(in.Jobs) == 0 {
-		return true
-	}
-	releases := make([]int, 0, len(in.Jobs))
-	deadlines := make([]int, 0, len(in.Jobs))
-	for _, j := range in.Jobs {
-		releases = append(releases, j.Release)
-		deadlines = append(deadlines, j.Deadline)
-	}
-	sort.Ints(releases)
-	sort.Ints(deadlines)
-	releases = dedupe(releases)
-	deadlines = dedupe(deadlines)
-	for _, s := range releases {
-		for _, e := range deadlines {
-			if e < s {
-				continue
-			}
-			inside := 0
-			for _, j := range in.Jobs {
-				if j.Release >= s && j.Deadline <= e {
-					inside++
-				}
-			}
-			if inside > in.Procs*(e-s+1) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func dedupe(sorted []int) []int {
-	out := sorted[:0]
-	for i, v := range sorted {
-		if i == 0 || v != sorted[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
+	_, err := heur.Greedy(in)
+	return err == nil
 }
 
 // EDFOneInterval builds a feasible schedule for a one-interval

@@ -1,6 +1,7 @@
 // Package feas provides the feasibility substrate used throughout the
 // repository: Hopcroft–Karp bipartite matching between jobs and time
-// units, Hall-condition feasibility tests for one-interval instances,
+// units, the one-interval feasibility test (the verdict of heur's
+// lazy-wakeup greedy, which decides Hall's condition),
 // earliest-deadline-first scheduling, and the augmenting-path schedule
 // extension of Lemma 3.
 package feas

@@ -40,7 +40,10 @@
 // sub-instance and meets all deadlines, and on an infeasible instance
 // no schedule exists, so the greedy's own deadline miss (or a wake
 // bound behind the next arrival) is a correct ErrInfeasible verdict.
-// FuzzHeuristicQuality cross-checks the verdict against the exact tier.
+// The exact solvers (internal/core, internal/poly) and
+// feas.FeasibleOneInterval take their feasibility verdict from it; the
+// tests and FuzzHeuristicQuality hold it against Hall's condition
+// checked directly (exact.HallFeasible).
 //
 // # The certificates
 //

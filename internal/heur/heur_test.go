@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exact"
-	"repro/internal/feas"
 	"repro/internal/heur"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -23,7 +22,7 @@ func TestGreedyMatchesFeasibilityOracle(t *testing.T) {
 		n := 1 + rng.Intn(9)
 		p := 1 + rng.Intn(3)
 		in := workload.Multiproc(rng, n, p, 4+rng.Intn(24), 1+rng.Intn(5))
-		want := feas.FeasibleOneInterval(in)
+		want := exact.HallFeasible(in)
 		s, err := heur.Greedy(in)
 		if want != (err == nil) {
 			t.Fatalf("greedy feasibility %v, Hall %v (jobs %v procs %d)", err == nil, want, in.Jobs, in.Procs)

@@ -29,9 +29,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
-	"repro/internal/feas"
 	"repro/internal/heur"
 	"repro/internal/prep"
 	"repro/internal/sched"
@@ -101,8 +101,9 @@ type Result struct {
 
 // Options tunes the backend for ablation and certification.
 type Options struct {
-	// NoPrune disables branch-and-bound pruning (no greedy incumbent,
-	// no per-node bound checks). Results are identical either way.
+	// NoPrune disables branch-and-bound pruning (no incumbent budget,
+	// no per-node bound checks; the greedy still runs for its
+	// feasibility verdict). Results are identical either way.
 	NoPrune bool
 }
 
@@ -139,9 +140,11 @@ func SolvePowerOpt(in sched.Instance, alpha float64, opts Options) (Result, erro
 	}, opts)
 }
 
-// solve runs the shared pipeline: validation, the Hall feasibility
-// pre-check, the greedy incumbent, the bounded recursion with its
-// defensive unbounded re-run, and reconstruction.
+// solve runs the shared pipeline: validation, one greedy run whose
+// verdict decides feasibility (the greedy is an exact feasibility
+// oracle, heur package doc) and whose schedule seeds the incumbent
+// budget, the bounded recursion with its defensive unbounded re-run,
+// and reconstruction.
 func solve[M model](in sched.Instance, m M, incumbent func(sched.Schedule) float64, opts Options) (Result, error) {
 	if err := in.Validate(); err != nil {
 		return Result{}, err
@@ -153,17 +156,18 @@ func solve[M model](in sched.Instance, m M, incumbent func(sched.Schedule) float
 	if !Admissible(in) {
 		return Result{}, ErrMultiProcessor
 	}
-	if !feas.FeasibleOneInterval(in) {
+	s, err := heur.Greedy(in)
+	if errors.Is(err, heur.ErrInfeasible) {
 		return Result{}, ErrInfeasible
+	}
+	if err != nil {
+		return Result{}, err
 	}
 	budget := infinite
 	if !opts.NoPrune {
-		if s, err := heur.Greedy(in); err == nil {
-			// One ulp above the incumbent, as in core: an optimum equal
-			// to the incumbent stays below the budget and is found
-			// exactly.
-			budget = math.Nextafter(incumbent(s), infinite)
-		}
+		// One ulp above the incumbent, as in core: an optimum equal to
+		// the incumbent stays below the budget and is found exactly.
+		budget = math.Nextafter(incumbent(s), infinite)
 	}
 	e := newEngine(in, m)
 	cost, placed, ok := e.run(n, budget)
@@ -173,7 +177,7 @@ func solve[M model](in sched.Instance, m M, incumbent func(sched.Schedule) float
 		cost, placed, ok = e.run(n, infinite)
 	}
 	if !ok {
-		// Cannot happen after the Hall pre-check; defensive.
+		// Cannot happen: the greedy found a feasible schedule; defensive.
 		return Result{}, ErrInfeasible
 	}
 	schedule, err := assemble(n, in.Procs, placed)
@@ -350,6 +354,13 @@ type engine[M model] struct {
 	lists        map[[2]int][]int
 	memo         map[pnode]pentry
 
+	// relGI[j] is the grid index of job j's release (every release is a
+	// grid point), the key pendingSweep buckets by.
+	relGI []int
+	// pendStack holds the pendingSweep counts of every compute frame on
+	// the recursion stack; each frame truncates it back on return.
+	pendStack []int
+
 	pruned, expanded int
 }
 
@@ -390,6 +401,10 @@ func newEngine[M model](in sched.Instance, m M) *engine[M] {
 		e.t2val[i] = t
 	}
 	e.t2val[g] = e.grid[g-1] + 1
+	e.relGI = make([]int, n)
+	for j, job := range in.Jobs {
+		e.relGI[j] = sort.SearchInts(e.grid, job.Release)
+	}
 	return e
 }
 
@@ -517,22 +532,49 @@ func (e *engine[M]) compute(nd pnode, budget float64) pentry {
 	// Case B: j_k at a grid time t′ ∈ [t1, t2) within its window.
 	giLo := sort.SearchInts(e.grid, max(job.Release, t1))
 	giHi := sort.SearchInts(e.grid, min(job.Deadline, t2-1)+1)
-	for gi := giLo; gi < giHi; gi++ {
-		best = e.evalSplit(nd, gi, t1, t2, list, budget, best)
+	if giLo < giHi {
+		// A child frame that grows pendStack copies this frame's counts
+		// and writes only above them, so pend stays valid either way.
+		base := len(e.pendStack)
+		e.pendStack = slices.Grow(e.pendStack, giHi-giLo)[:base+giHi-giLo]
+		pend := e.pendStack[base:]
+		e.pendingSweep(list, k, giLo, pend)
+		for gi := giLo; gi < giHi; gi++ {
+			best = e.evalSplit(nd, gi, pend[gi-giLo], t1, t2, budget, best)
+		}
+		e.pendStack = e.pendStack[:base]
 	}
 	return best
+}
+
+// pendingSweep sets pend[x] = pendingAfter(list, k, grid[giLo+x]) for
+// every x < len(pend) in one O(k + len(pend)) pass, as core's does:
+// bucket each of the first k−1 jobs at the last candidate it is
+// pending after, then take suffix sums.
+func (e *engine[M]) pendingSweep(list []int, k, giLo int, pend []int) {
+	clear(pend)
+	w := len(pend)
+	for _, j := range list[:k-1] {
+		if r := e.relGI[j] - giLo; r > 0 {
+			pend[min(r, w)-1]++
+		}
+	}
+	for x := w - 2; x >= 0; x-- {
+		pend[x] += pend[x+1]
+	}
 }
 
 func packLv(l1, l2, c2 int) uint8 { return uint8(l1<<2 | l2<<1 | c2) }
 
 // evalSplit evaluates the case-B candidates placing j_k at grid index
-// gi, folding improvements into best with strict <. thr0 is the
-// caller's branch-and-bound budget; children see min(thr0, best so
-// far), candidates whose children's summed admissible bounds already
+// gi, with i of j_k's k−1 predecessors released after t′, folding
+// improvements into best with strict <. thr0 is the caller's
+// branch-and-bound budget; children see min(thr0, best so far),
+// candidates whose children's summed admissible bounds already
 // meet the threshold are skipped before any dp call (the skip writes
 // no memo state), and under an infinite thr0 pruning is disabled
 // outright — all exactly core's contract.
-func (e *engine[M]) evalSplit(nd pnode, gi, t1, t2 int, list []int, thr0 float64, best pentry) pentry {
+func (e *engine[M]) evalSplit(nd pnode, gi, i, t1, t2 int, thr0 float64, best pentry) pentry {
 	k := int(nd.k)
 	l1, l2, c2 := int(nd.lv>>2), int(nd.lv>>1&1), int(nd.lv&1)
 	thr := func() float64 {
@@ -546,7 +588,6 @@ func (e *engine[M]) evalSplit(nd pnode, gi, t1, t2 int, list []int, thr0 float64
 	}
 
 	tp := e.grid[gi]
-	i := e.pendingAfter(list, k, tp)
 	kL := k - 1 - i
 
 	// The right child does not depend on the profile height at t′; its

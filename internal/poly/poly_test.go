@@ -2,11 +2,15 @@ package poly
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exact"
 	"repro/internal/sched"
+	"repro/internal/workload"
 )
 
 // randInstance draws a single-processor fragment: n jobs with windows
@@ -161,5 +165,113 @@ func TestEstimate(t *testing.T) {
 	wide := sched.Instance{Jobs: []sched.Job{{Release: 0, Deadline: 200}}, Procs: 1}
 	if Estimate(wide) <= Estimate(small) {
 		t.Fatalf("estimate not monotone: wide %d ≤ small %d", Estimate(wide), Estimate(small))
+	}
+}
+
+// shifted returns in with every window moved by off.
+func shifted(in sched.Instance, off int) sched.Instance {
+	jobs := make([]sched.Job, len(in.Jobs))
+	for i, j := range in.Jobs {
+		jobs[i] = sched.Job{Release: j.Release + off, Deadline: j.Deadline + off}
+	}
+	return sched.Instance{Jobs: jobs, Procs: in.Procs}
+}
+
+// TestPendingSweepMatchesScan: the amortised pendingSweep compute uses
+// must give pendingAfter's O(k) rescan at every candidate grid index,
+// for j_k's own case-B range and arbitrary ranges, at small and large
+// absolute coordinates.
+func TestPendingSweepMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(72))
+	for trial := 0; trial < 80; trial++ {
+		in := randInstance(rng, 1+rng.Intn(10), 4+rng.Intn(30), rng.Intn(8))
+		if trial%2 == 1 {
+			in = shifted(in, -1<<61)
+		}
+		e := newEngine(in, gapModel{})
+		g := len(e.grid)
+		for sample := 0; sample < 150; sample++ {
+			i1 := rng.Intn(g + 1)
+			i2 := i1 + rng.Intn(g+1-i1)
+			t1, t2 := e.t1val[i1], e.t2val[i2]
+			list := e.list(t1, t2)
+			for k := 1; k <= len(list); k++ {
+				job := e.jobs[list[k-1]]
+				lo := sort.SearchInts(e.grid, max(job.Release, t1))
+				hi := sort.SearchInts(e.grid, min(job.Deadline, t2-1)+1)
+				rlo := rng.Intn(g)
+				for _, r := range [][2]int{{lo, hi}, {rlo, rlo + 1 + rng.Intn(g-rlo)}} {
+					if r[0] >= r[1] {
+						continue
+					}
+					pend := make([]int, r[1]-r[0])
+					for x := range pend {
+						pend[x] = -7 // the sweep must not rely on a cleared buffer
+					}
+					e.pendingSweep(list, k, r[0], pend)
+					for gi := r[0]; gi < r[1]; gi++ {
+						if got, want := pend[gi-r[0]], e.pendingAfter(list, k, e.grid[gi]); got != want {
+							t.Fatalf("[%d,%d] k=%d gi=%d: sweep %d, scan %d (jobs %v)", t1, t2, k, gi, got, want, in.Jobs)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestInfeasibleExactlyWhenHall: the exact solvers take their
+// feasibility verdict from the greedy, so every exact entry point —
+// core and poly, gaps and power, pruned and NoPrune — must return
+// ErrInfeasible exactly when Hall's condition (exact.HallFeasible)
+// fails, and succeed otherwise. Windows are tight enough that a good
+// share of the instances are infeasible, and half of them sit at large
+// absolute coordinates.
+func TestInfeasibleExactlyWhenHall(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	infeasible := 0
+	const trials = 300
+	for trial := 0; trial < trials; trial++ {
+		p := 1 + rng.Intn(3)
+		in := workload.Multiproc(rng, 1+rng.Intn(9), p, 2+rng.Intn(8), 1+rng.Intn(3))
+		if trial%2 == 1 {
+			off := 1 << 61
+			if rng.Intn(2) == 0 {
+				off = -off
+			}
+			in = shifted(in, off)
+		}
+		hall := exact.HallFeasible(in)
+		if !hall {
+			infeasible++
+		}
+		alpha := float64(rng.Intn(7)) / 2
+		check := func(name string, err error, want error) {
+			t.Helper()
+			if hall && err != nil {
+				t.Fatalf("trial %d %s: err %v on a Hall-feasible instance (jobs %v procs %d)", trial, name, err, in.Jobs, in.Procs)
+			}
+			if !hall && !errors.Is(err, want) {
+				t.Fatalf("trial %d %s: err %v, want %v (jobs %v procs %d)", trial, name, err, want, in.Jobs, in.Procs)
+			}
+		}
+		for _, opts := range []core.Options{{}, {NoPrune: true}} {
+			_, err := core.SolveGapsOpt(in, opts)
+			check(fmt.Sprintf("core gaps %+v", opts), err, core.ErrInfeasible)
+			_, err = core.SolvePowerOpt(in, alpha, opts)
+			check(fmt.Sprintf("core power %+v", opts), err, core.ErrInfeasible)
+		}
+		if !Admissible(in) {
+			continue
+		}
+		for _, opts := range []Options{{}, {NoPrune: true}} {
+			_, err := SolveGapsOpt(in, opts)
+			check(fmt.Sprintf("poly gaps %+v", opts), err, ErrInfeasible)
+			_, err = SolvePowerOpt(in, alpha, opts)
+			check(fmt.Sprintf("poly power %+v", opts), err, ErrInfeasible)
+		}
+	}
+	if infeasible < trials/10 || infeasible > trials*9/10 {
+		t.Fatalf("%d of %d instances infeasible; the draw no longer exercises both verdicts", infeasible, trials)
 	}
 }

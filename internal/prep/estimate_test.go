@@ -1,10 +1,11 @@
-package prep
+package prep_test
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/prep"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -16,22 +17,22 @@ func TestStateEstimateHandValues(t *testing.T) {
 	// One job [0,0]: G = 1 (neighbourhood clipped to the horizon),
 	// n+1 = 2, capped p = 1 → 1·1·2·2³ = 16.
 	one := sched.NewInstance([]sched.Job{{Release: 0, Deadline: 0}})
-	if got := StateEstimate(one); got != 16 {
+	if got := prep.StateEstimate(one); got != 16 {
 		t.Fatalf("single-point estimate %d, want 16", got)
 	}
 	// Same job on 8 processors: p caps at n = 1, identical estimate.
-	if got := StateEstimate(sched.NewMultiprocInstance([]sched.Job{{Release: 0, Deadline: 0}}, 8)); got != 16 {
+	if got := prep.StateEstimate(sched.NewMultiprocInstance([]sched.Job{{Release: 0, Deadline: 0}}, 8)); got != 16 {
 		t.Fatalf("capped-p estimate %d, want 16", got)
 	}
 	// Empty instance: nothing to solve.
-	if got := StateEstimate(sched.Instance{Procs: 3}); got != 0 {
+	if got := prep.StateEstimate(sched.Instance{Procs: 3}); got != 0 {
 		t.Fatalf("empty estimate %d, want 0", got)
 	}
 	// Two far-apart tight jobs [0,0] and [100,100]: each anchor covers
 	// ±2 clipped to the horizon ends → G = 3 + 3 = 6, n+1 = 3, p = 1
 	// → 36·3·8 = 864.
 	two := sched.NewInstance([]sched.Job{{Release: 0, Deadline: 0}, {Release: 100, Deadline: 100}})
-	if got := StateEstimate(two); got != 864 {
+	if got := prep.StateEstimate(two); got != 864 {
 		t.Fatalf("two-point estimate %d, want 864", got)
 	}
 }
@@ -44,9 +45,9 @@ func TestStateEstimateMonotoneInSize(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		in := workload.Multiproc(rng, 2+rng.Intn(12), 1+rng.Intn(3), 6+rng.Intn(40), 1+rng.Intn(6))
 		smaller := sched.Instance{Jobs: in.Jobs[:len(in.Jobs)-1], Procs: in.Procs}
-		if StateEstimate(smaller) > StateEstimate(in) {
+		if prep.StateEstimate(smaller) > prep.StateEstimate(in) {
 			t.Fatalf("estimate shrank when adding a job: %d > %d (jobs %v)",
-				StateEstimate(smaller), StateEstimate(in), in.Jobs)
+				prep.StateEstimate(smaller), prep.StateEstimate(in), in.Jobs)
 		}
 	}
 }
@@ -58,7 +59,7 @@ func TestStateEstimateSaturates(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = sched.Job{Release: i * 1_000_000, Deadline: i*1_000_000 + 900_000}
 	}
-	if got := StateEstimate(sched.NewMultiprocInstance(jobs, 4)); got != math.MaxInt {
+	if got := prep.StateEstimate(sched.NewMultiprocInstance(jobs, 4)); got != math.MaxInt {
 		t.Fatalf("huge estimate %d, want MaxInt saturation", got)
 	}
 }
@@ -70,30 +71,11 @@ func TestStateEstimateSaturates(t *testing.T) {
 // arrive.
 func TestStateEstimateZeroProcs(t *testing.T) {
 	in := sched.Instance{Jobs: []sched.Job{{Release: 0, Deadline: 0}}}
-	if got := StateEstimate(in); got != 2 {
+	if got := prep.StateEstimate(in); got != 2 {
 		t.Fatalf("zero-proc estimate %d, want 2 (1·1·2·1³)", got)
 	}
-	if got := StateEstimate(sched.Instance{}); got != 0 {
+	if got := prep.StateEstimate(sched.Instance{}); got != 0 {
 		t.Fatalf("zero-everything estimate %d, want 0", got)
-	}
-}
-
-// TestSatMulNearOverflow pins the saturation boundary itself: products
-// that fit exactly stay exact, and the first product past MaxInt clamps
-// instead of wrapping negative (which would sail through any budget).
-func TestSatMulNearOverflow(t *testing.T) {
-	half := math.MaxInt / 2
-	if got := satMul(half, 2); got != half*2 {
-		t.Fatalf("satMul(MaxInt/2, 2) = %d, want exact %d", got, half*2)
-	}
-	if got := satMul(half+1, 2); got != math.MaxInt {
-		t.Fatalf("satMul(MaxInt/2+1, 2) = %d, want MaxInt saturation", got)
-	}
-	if got := satMul(math.MaxInt, 1); got != math.MaxInt {
-		t.Fatalf("satMul(MaxInt, 1) = %d, want MaxInt", got)
-	}
-	if got := satMul(math.MaxInt, 0); got != 0 {
-		t.Fatalf("satMul(MaxInt, 0) = %d, want 0", got)
 	}
 }
 
@@ -101,18 +83,18 @@ func TestSatMulNearOverflow(t *testing.T) {
 // backends' admission estimates price: the clipped ±n anchor
 // neighbourhoods with overlaps merged.
 func TestGridSizeHandValues(t *testing.T) {
-	if got := GridSize(sched.Instance{}); got != 0 {
+	if got := prep.GridSize(sched.Instance{}); got != 0 {
 		t.Fatalf("empty grid %d, want 0", got)
 	}
 	// One job [0,2]: anchors 0 and 2, each ±1, clipped to the horizon
 	// and merged into [0,2] → 3 grid points.
-	if got := GridSize(sched.NewInstance([]sched.Job{{Release: 0, Deadline: 2}})); got != 3 {
+	if got := prep.GridSize(sched.NewInstance([]sched.Job{{Release: 0, Deadline: 2}})); got != 3 {
 		t.Fatalf("one-job grid %d, want 3", got)
 	}
 	// Two far-apart tight jobs: two disjoint clipped neighbourhoods of 3
 	// points each.
 	two := sched.NewInstance([]sched.Job{{Release: 0, Deadline: 0}, {Release: 100, Deadline: 100}})
-	if got := GridSize(two); got != 6 {
+	if got := prep.GridSize(two); got != 6 {
 		t.Fatalf("two-cluster grid %d, want 6", got)
 	}
 }
@@ -124,10 +106,10 @@ func TestStateEstimateDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 50; trial++ {
 		in := workload.Multiproc(rng, 2+rng.Intn(10), 1+rng.Intn(3), 6+rng.Intn(30), 1+rng.Intn(5))
-		canon, _ := Canonicalize(in)
-		if StateEstimate(in) != StateEstimate(canon) {
+		canon, _ := prep.Canonicalize(in)
+		if prep.StateEstimate(in) != prep.StateEstimate(canon) {
 			t.Fatalf("estimate depends on job order: %d vs %d (jobs %v)",
-				StateEstimate(in), StateEstimate(canon), in.Jobs)
+				prep.StateEstimate(in), prep.StateEstimate(canon), in.Jobs)
 		}
 	}
 }
