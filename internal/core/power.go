@@ -134,7 +134,7 @@ func SolvePowerOpt(in sched.Instance, alpha float64, opts Options) (PowerResult,
 		return PowerResult{}, err
 	}
 	return PowerResult{Power: cost, Schedule: schedule, States: states,
-		PrunedStates: int(e.pruned.Load()), ExpandedStates: int(e.expanded.Load())}, nil
+		PrunedStates: e.pruned, ExpandedStates: e.expanded}, nil
 }
 
 var errNegativeAlpha = errInvalid("core: negative transition cost alpha")

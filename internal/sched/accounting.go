@@ -1,6 +1,10 @@
 package sched
 
-import "sort"
+import (
+	"maps"
+	"slices"
+	"sort"
+)
 
 // SpansOfTimes returns the number of maximal runs of consecutive integers
 // in ts (which need not be sorted; duplicates are ignored).
@@ -44,10 +48,28 @@ func GapLengths(ts []int) []int {
 // processors. This is the primitive minimization objective (DESIGN.md §1).
 func (s Schedule) Spans() int {
 	total := 0
-	for _, ts := range s.BusyTimes() {
+	for _, ts := range s.usedProcTimes() {
 		total += SpansOfTimes(ts)
 	}
 	return total
+}
+
+// usedProcTimes returns the sorted busy times of every processor that
+// runs at least one job, in processor order. Idle processors contribute
+// nothing to any cost and, unlike in BusyTimes, are not materialised,
+// so a processor count far above the job count costs nothing.
+func (s Schedule) usedProcTimes() [][]int {
+	byProc := make(map[int][]int)
+	for _, a := range s.Slots {
+		byProc[a.Proc] = append(byProc[a.Proc], a.Time)
+	}
+	procs := slices.Sorted(maps.Keys(byProc))
+	per := make([][]int, len(procs))
+	for i, q := range procs {
+		per[i] = byProc[q]
+		sort.Ints(per[i])
+	}
+	return per
 }
 
 // Gaps returns the number of finite idle intervals of the schedule in the
@@ -97,10 +119,7 @@ func SpansOfProfile(profile map[int]int) int {
 // is free.
 func (s Schedule) PowerCost(alpha float64) float64 {
 	total := 0.0
-	for _, ts := range s.BusyTimes() {
-		if len(ts) == 0 {
-			continue
-		}
+	for _, ts := range s.usedProcTimes() {
 		total += float64(distinct(ts)) + alpha // busy units + initial wake
 		for _, g := range GapLengths(ts) {
 			total += minF(float64(g), alpha)
@@ -113,7 +132,7 @@ func (s Schedule) PowerCost(alpha float64) float64 {
 // sleep during every gap (no bridging): n + α·spans.
 func (s Schedule) PowerCostSleepOnly(alpha float64) float64 {
 	busy := 0
-	for _, ts := range s.BusyTimes() {
+	for _, ts := range s.usedProcTimes() {
 		busy += distinct(ts)
 	}
 	return float64(busy) + alpha*float64(s.Spans())

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -118,6 +119,52 @@ func TestScheduleSpansAndGaps(t *testing.T) {
 	empty := Schedule{Procs: 1}
 	if empty.Spans() != 0 || empty.Gaps() != 0 {
 		t.Fatal("empty schedule spans/gaps not 0")
+	}
+}
+
+// TestAccountingPerProcessor pins Spans, PowerCost and
+// PowerCostSleepOnly to their per-processor definitions over BusyTimes
+// on random schedules with repeated slots, and checks that a processor
+// count far above the slot count costs them nothing.
+func TestAccountingPerProcessor(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const alpha = 2.5
+	for trial := 0; trial < 500; trial++ {
+		s := Schedule{Procs: 1 + rng.Intn(4)}
+		for i := rng.Intn(12); i > 0; i-- {
+			s.Slots = append(s.Slots, Assignment{Proc: rng.Intn(s.Procs), Time: rng.Intn(10) - 5})
+		}
+		spans, busy, power := 0, 0, 0.0
+		for _, ts := range s.BusyTimes() {
+			spans += SpansOfTimes(ts)
+			if len(ts) == 0 {
+				continue
+			}
+			busy += distinct(ts)
+			power += float64(distinct(ts)) + alpha
+			for _, g := range GapLengths(ts) {
+				power += math.Min(float64(g), alpha)
+			}
+		}
+		if got := s.Spans(); got != spans {
+			t.Fatalf("Spans = %d, per-processor count %d (%+v)", got, spans, s)
+		}
+		if got := s.PowerCost(alpha); got != power {
+			t.Fatalf("PowerCost = %v, per-processor sum %v (%+v)", got, power, s)
+		}
+		if got, want := s.PowerCostSleepOnly(alpha), float64(busy)+alpha*float64(spans); got != want {
+			t.Fatalf("PowerCostSleepOnly = %v, want %v (%+v)", got, want, s)
+		}
+	}
+	huge := Schedule{Procs: 1 << 40, Slots: []Assignment{{Proc: 0, Time: 0}, {Proc: 0, Time: 1}, {Proc: 1, Time: 0}}}
+	if got := huge.Spans(); got != 2 {
+		t.Fatalf("Spans on 2^40 processors = %d, want 2", got)
+	}
+	if got := huge.PowerCost(alpha); got != 3+2*alpha {
+		t.Fatalf("PowerCost on 2^40 processors = %v, want %v", got, 3+2*alpha)
+	}
+	if got := huge.PowerCostSleepOnly(alpha); got != 3+2*alpha {
+		t.Fatalf("PowerCostSleepOnly on 2^40 processors = %v, want %v", got, 3+2*alpha)
 	}
 }
 

@@ -369,3 +369,26 @@ func TestCloseFlushesPendingWindow(t *testing.T) {
 		t.Errorf("batch after Close: status %d payload %+v err %v, want 503 unavailable", bresp.StatusCode, benv, err)
 	}
 }
+
+// TestSolveHugeProcs: a request whose processor count dwarfs its job
+// count used to kill the daemon with an out-of-memory fatal error. It
+// must be served, in exact and auto mode, with the optimum of the same
+// jobs on two processors.
+func TestSolveHugeProcs(t *testing.T) {
+	srv := New(Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	jobs := []sched.Job{{Release: 0, Deadline: 3}, {Release: 0, Deadline: 3}}
+	for _, mode := range []string{sched.WireModeExact, sched.WireModeAuto} {
+		want := decodeSolve(t, postJSON(t, ts.URL+"/v1/solve", sched.SolveRequest{Procs: 2, Mode: mode, Jobs: jobs}))
+		got := decodeSolve(t, postJSON(t, ts.URL+"/v1/solve", sched.SolveRequest{Procs: 1 << 40, Mode: mode, Jobs: jobs}))
+		if want.Err != nil || got.Err != nil {
+			t.Fatalf("%s: solve failed: p=2 %v, p=2^40 %v", mode, want.Err, got.Err)
+		}
+		if got.Spans != want.Spans {
+			t.Fatalf("%s: %d spans on p=2^40, want %d (p=2)", mode, got.Spans, want.Spans)
+		}
+	}
+}

@@ -182,3 +182,56 @@ func TestObjectiveString(t *testing.T) {
 		t.Fatal("unknown objective has empty name")
 	}
 }
+
+// TestSolverHugeProcs: a processor count far above the job count must
+// neither exhaust memory nor change the answer. Every pipeline shape —
+// exact and auto mode, prep on and off, one-shot and session — reports
+// the optimum of the same jobs on two processors, and the schedule
+// keeps the caller's processor count.
+func TestSolverHugeProcs(t *testing.T) {
+	jobs := []Job{{Release: 0, Deadline: 3}, {Release: 0, Deadline: 3}}
+	huge := Instance{Jobs: jobs, Procs: 1 << 40}
+	for _, base := range []Solver{{}, {Objective: ObjectivePower, Alpha: 2}} {
+		for _, cfg := range []Solver{
+			{Mode: ModeExact},
+			{Mode: ModeAuto},
+			{Mode: ModeExact, NoPreprocess: true},
+			{Mode: ModeAuto, NoPreprocess: true},
+		} {
+			s := base
+			s.Mode, s.NoPreprocess = cfg.Mode, cfg.NoPreprocess
+			want, err := s.Solve(Instance{Jobs: jobs, Procs: 2})
+			if err != nil {
+				t.Fatalf("%+v on p=2: %v", s, err)
+			}
+			got, err := s.Solve(huge)
+			if err != nil {
+				t.Fatalf("%+v on p=2^40: %v", s, err)
+			}
+			if s.Objective.Cost(got) != s.Objective.Cost(want) {
+				t.Fatalf("%+v: cost %v on p=2^40, want %v (p=2)", s, s.Objective.Cost(got), s.Objective.Cost(want))
+			}
+			if err := got.Schedule.Validate(huge); err != nil {
+				t.Fatalf("%+v: schedule invalid on p=2^40: %v", s, err)
+			}
+		}
+		ss, err := base.Open(1 << 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range jobs {
+			if _, err := ss.Add(j); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := ss.Resolve()
+		ss.Close()
+		if err != nil {
+			t.Fatalf("%+v session on p=2^40: %v", base, err)
+		}
+		want, _ := base.Solve(Instance{Jobs: jobs, Procs: 2})
+		if base.Objective.Cost(got) != base.Objective.Cost(want) {
+			t.Fatalf("%+v session: cost %v on p=2^40, want %v (p=2)", base, base.Objective.Cost(got), base.Objective.Cost(want))
+		}
+	}
+}
