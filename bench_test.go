@@ -508,19 +508,17 @@ func BenchmarkE20_HeuristicTier(b *testing.B) {
 				jobs = append(jobs, sched.Job{Release: r, Deadline: r + 2 + rng.Intn(4)})
 			}
 		}
-		// The big fragment must stay above the pruning-discounted default
-		// budget so the mix is genuinely mixed; n=400 dense is admitted
-		// to the exact tier nowadays (BenchmarkE21_BoundedExact covers
-		// that class), so the wall here is n=800. The polynomial backend
-		// is ablated (PolyBudget −1) because it would otherwise solve the
-		// n=800 single-processor fragment exactly — this lane benches the
-		// dp+heuristic mix; BenchmarkE23_PolyBackend benches the poly
-		// route.
+		// The big fragment must stay above the default budget so the mix
+		// is genuinely mixed. A single-processor n=800 dense fragment is
+		// admitted to the exact tier under the single-machine price
+		// (BenchmarkE23_PolyBackend covers that route), so the instance
+		// is built on two processors, where the multiprocessor price
+		// rejects it.
 		for _, j := range workload.StressDense(rng, 800, 1).Jobs {
 			jobs = append(jobs, sched.Job{Release: j.Release + 2400, Deadline: j.Deadline + 2400})
 		}
-		in := NewInstance(jobs)
-		auto := Solver{Mode: ModeAuto, PolyBudget: -1}
+		in := NewMultiprocInstance(jobs, 2)
+		auto := Solver{Mode: ModeAuto}
 		for i := 0; i < b.N; i++ {
 			sol, err := auto.Solve(in)
 			if err != nil {
@@ -673,16 +671,17 @@ func BenchmarkE22_OnlineTier(b *testing.B) {
 	})
 }
 
-// BenchmarkE23_PolyBackend: the polynomial single-machine exact
-// backend head to head with the index-space DP engine on the dense
-// single-processor class — the two are the same dynamic program at
-// p = 1, so the expanded/op metrics must agree — plus the ModeAuto
-// lane the backend unlocks: a mixed instance whose n=2000 dense
-// fragment sits far beyond the DP tier's discounted admission bound
-// and used to fall to the heuristic, now solved exactly by poly under
-// the default budgets. The lane asserts the certificate (the big
-// fragment on poly, nothing heuristic) so an admission regression
-// fails loudly rather than silently benching the heuristic.
+// BenchmarkE23_PolyBackend: the polynomial single-machine DP
+// (internal/poly, the p = 1 reference the facade no longer routes to)
+// head to head with the DP engine on the dense single-processor class
+// — the two are the same dynamic program at p = 1, so the expanded/op
+// metrics must agree — plus the ModeAuto lane the single-machine price
+// unlocks: a mixed instance whose n=2000 dense fragment sits far
+// beyond the multiprocessor price's reach and used to fall to the
+// heuristic, now solved exactly by the DP engine under the default
+// budget. The lane asserts the certificate (nothing heuristic, cost
+// equal to the lower bound) so an admission regression fails loudly
+// rather than silently benching the heuristic.
 func BenchmarkE23_PolyBackend(b *testing.B) {
 	rng := rand.New(rand.NewSource(23))
 	dense := workload.StressDense(rng, 400, 1)
@@ -708,7 +707,7 @@ func BenchmarkE23_PolyBackend(b *testing.B) {
 		}
 		b.ReportMetric(float64(expanded)/float64(b.N), "expanded/op")
 	})
-	b.Run("auto-poly/dense/n=2000", func(b *testing.B) {
+	b.Run("auto-dp/dense/n=2000", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(23))
 		var jobs []sched.Job
 		for c := 0; c < 8; c++ {
@@ -727,9 +726,9 @@ func BenchmarkE23_PolyBackend(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if sol.PolyFragments != 1 || sol.HeuristicFragments != 0 {
-				b.Fatalf("auto tiers poly=%d heur=%d, want the dense fragment on poly",
-					sol.PolyFragments, sol.HeuristicFragments)
+			if sol.HeuristicFragments != 0 || float64(sol.Spans) != sol.LowerBound {
+				b.Fatalf("auto heur=%d spans %d lb %v, want the dense fragment on the DP engine",
+					sol.HeuristicFragments, sol.Spans, sol.LowerBound)
 			}
 		}
 	})

@@ -1,28 +1,27 @@
 package main
 
-// Experiment E23: the polynomial single-machine backend. Two tables:
+// Experiment E23: the exact tier at p = 1. Two tables:
 //
-//  1. Crossover — single-fragment dense single-processor instances
-//     solved by both exact backends head to head: the index-space DP
-//     engine (internal/core) and the polynomial backend
-//     (internal/poly). Measured honestly, there is no wall-clock
-//     crossover: at p = 1 the two are the same dynamic program (the
-//     poly backend just specializes the level dimensions away), they
-//     expand identical state counts, and their times track within
-//     noise. The crossover is in admission: the DP tier is priced by
-//     the index-space shape G²·(n+1)·8, which blows the default budget
-//     around n ≈ 800, while the poly backend is priced by its honest
-//     lower-degree G·(n+1) — so the same fragment the DP tier must
-//     reject is admissible to poly with room to spare. The table
-//     records both estimates next to the (equal) wall times.
+//  1. Head to head — single-fragment dense single-processor instances
+//     solved by the DP engine (internal/core) and by the polynomial
+//     single-machine DP (internal/poly), which the facade no longer
+//     routes to and which stays as the p = 1 reference. At p = 1 the
+//     two are the same dynamic program (poly just specializes the level
+//     dimensions away): they expand identical state counts and their
+//     times track within noise. What made a second backend look
+//     necessary was admission: the multiprocessor index-space price
+//     G²·(n+1)·8/32 blows the default budget around n ≈ 800, while the
+//     single-machine frontier G·(n+1) — the price prep.StateEstimate
+//     now charges every p = 1 fragment — admits thousands of jobs. The
+//     table records that one estimate and its verdict next to the
+//     (equal) wall times.
 //
-//  2. Reach — ModeAuto under the default budgets on mixed instances
-//     whose oversized single-processor fragment sits far beyond the DP
-//     tier's discounted admission bound (n in the thousands — the
-//     classes E20/E21 used to send to the heuristic). The polynomial
-//     backend picks those fragments up, so the whole solution comes
-//     back certified optimal: cost/LB = 1.00 with zero heuristic
-//     fragments, at the recorded wall times.
+//  2. Reach — ModeAuto under the default budget on mixed instances
+//     whose oversized single-processor fragment has n in the thousands
+//     (the classes E20/E21 used to send to the heuristic). The DP
+//     engine serves those fragments, so the whole solution comes back
+//     certified optimal: cost/LB = 1.00 with zero heuristic fragments,
+//     at the recorded wall times.
 
 import (
 	"math/rand"
@@ -38,7 +37,7 @@ import (
 )
 
 func init() {
-	register("E23", "Polynomial exact backend: crossover and admission reach", runE23)
+	register("E23", "Exact tier at p=1: DP vs the poly reference, and admission reach", runE23)
 }
 
 func runE23(cfg config) []*stats.Table {
@@ -54,7 +53,7 @@ func e23Crossover(cfg config) *stats.Table {
 		sizes = []int{50, 100}
 	}
 	tb := stats.NewTable("objective", "dense n", "dp ms", "poly ms", "expanded",
-		"dp ≡ poly", "dp est (disc)", "poly est", "dp admits", "poly admits")
+		"dp ≡ poly", "estimate", "admitted")
 	for _, obj := range []struct {
 		name  string
 		alpha float64
@@ -98,37 +97,32 @@ func e23Crossover(cfg config) *stats.Table {
 			}
 			polyEl := time.Since(t0)
 
-			// The admission economics, priced exactly as ModeAuto prices
-			// them: the DP estimate discounted for pruning against the
-			// state budget, the poly estimate against the poly budget.
-			dpEst := prep.StateEstimate(in) / 32
-			polyEst := poly.Estimate(in)
+			// The admission price exactly as ModeAuto charges it.
+			est := prep.StateEstimate(in)
 			tb.AddRow(obj.name, n,
 				float64(dpEl.Microseconds())/1000,
 				float64(polyEl.Microseconds())/1000,
 				dpExpanded,
 				boolMark(dpCost == pres.Cost && dpExpanded == pres.ExpandedStates),
-				dpEst, polyEst,
-				boolMark(dpEst <= gapsched.DefaultStateBudget),
-				boolMark(polyEst <= gapsched.DefaultPolyBudget))
+				est, boolMark(est <= gapsched.DefaultStateBudget))
 		}
 	}
 	return tb
 }
 
 func e23Reach(cfg config) *stats.Table {
-	// The dense classes the DP tier's discounted bound rejects (n ≥ 800,
-	// see E21) — previously heuristic, now certified exact through the
-	// polynomial backend.
+	// Dense single-processor classes far beyond the multiprocessor
+	// price's reach (n ≥ 800, see E21) — once heuristic, now certified
+	// exact by the DP engine under the single-machine price.
 	bigNs := []int{2000, 4000}
 	if cfg.quick {
 		bigNs = []int{800, 2000}
 	}
-	tb := stats.NewTable("big fragment", "poly estimate", "budget", "ms",
-		"poly frags", "heur frags", "of", "cost", "lower bound", "cost/LB", "certified exact")
+	tb := stats.NewTable("big fragment", "estimate", "budget", "ms",
+		"dp frags", "heur frags", "of", "cost", "lower bound", "cost/LB", "certified exact")
 	for _, bigN := range bigNs {
 		in, big := e21Mixed(cfg.seed, bigN)
-		pe := poly.Estimate(big)
+		est := prep.StateEstimate(big)
 		auto := gapsched.Solver{Mode: gapsched.ModeAuto}
 		t0 := time.Now()
 		sol, err := auto.Solve(in)
@@ -137,10 +131,10 @@ func e23Reach(cfg config) *stats.Table {
 			panic(err)
 		}
 		cost := float64(sol.Spans)
-		certified := sol.PolyFragments == 1 && sol.HeuristicFragments == 0 && cost == sol.LowerBound
-		tb.AddRow("dense n="+strconv.Itoa(bigN), pe, gapsched.DefaultPolyBudget,
+		certified := sol.HeuristicFragments == 0 && cost == sol.LowerBound
+		tb.AddRow("dense n="+strconv.Itoa(bigN), est, gapsched.DefaultStateBudget,
 			float64(el.Microseconds())/1000,
-			sol.PolyFragments, sol.HeuristicFragments, sol.Subinstances,
+			sol.Subinstances-sol.HeuristicFragments, sol.HeuristicFragments, sol.Subinstances,
 			cost, sol.LowerBound, cost/sol.LowerBound,
 			boolMark(certified))
 	}

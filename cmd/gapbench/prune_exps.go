@@ -15,16 +15,13 @@ package main
 //     costs a few percent — the row is there for the correctness
 //     certificate and to keep that trade-off measured.
 //
-//  2. Admission — ModeAuto under the default budgets on mixed
-//     instances whose oversized fragment sits on either side of the
-//     pruning-discounted DP admission bound. The n=400 dense class,
-//     which the raw estimate used to send to the heuristic, is admitted
-//     to the (bounded) exact tier and comes back certified optimal:
-//     cost/LB = 1.00 with zero heuristic fragments. The n=800 class
-//     still exceeds the discounted DP bound, but its big fragment is
-//     single-processor, so the polynomial backend picks it up and the
-//     solution is certified exact anyway — E23 measures that tier's
-//     reach at n in the thousands.
+//  2. Admission — ModeAuto under the default budget on mixed instances
+//     with one oversized single-processor dense fragment (n=400 and
+//     n=800). Both are admitted by the single-machine price
+//     prep.StateEstimate charges p = 1 fragments and come back
+//     certified optimal from the (bounded) exact tier: cost/LB = 1.00
+//     with zero heuristic fragments. E23 measures the reach at n in
+//     the thousands.
 
 import (
 	"math/rand"
@@ -33,7 +30,6 @@ import (
 
 	gapsched "repro"
 	"repro/internal/core"
-	"repro/internal/poly"
 	"repro/internal/prep"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -128,12 +124,10 @@ func e21Mixed(seed int64, bigN int) (gapsched.Instance, sched.Instance) {
 }
 
 func e21Admission(cfg config) *stats.Table {
-	// Both sizes run even in quick mode: the table needs one fragment on
-	// each side of the discounted DP admission bound, the n=800 polynomial
-	// solve is fast, and the n=400 exact solve is quick precisely because
-	// of the pruning this experiment certifies.
+	// Both sizes run even in quick mode: both exact solves are quick
+	// precisely because of the pruning this experiment certifies.
 	bigNs := []int{400, 800}
-	tb := stats.NewTable("big fragment", "state estimate", "discounted", "ms",
+	tb := stats.NewTable("big fragment", "estimate", "admitted", "ms",
 		"heur frags", "of", "cost", "lower bound", "cost/LB", "certified exact")
 	for _, bigN := range bigNs {
 		in, big := e21Mixed(cfg.seed, bigN)
@@ -148,17 +142,13 @@ func e21Admission(cfg config) *stats.Table {
 		cost := float64(sol.Spans)
 		certified := sol.HeuristicFragments == 0 && cost == sol.LowerBound
 		// "Certified exact" says yes when the solve's verdict matches what
-		// the admission estimates predict: the DP tier takes the fragment
-		// when the discounted estimate fits the state budget, and the
-		// polynomial backend catches single-processor fragments the DP
-		// rejected (the n=800 class lands there).
-		dpAdmit := est/32 <= gapsched.DefaultStateBudget
-		polyAdmit := poly.Admissible(big) && poly.Estimate(big) <= gapsched.DefaultPolyBudget
-		expectExact := dpAdmit || polyAdmit
-		tb.AddRow("dense n="+strconv.Itoa(bigN), est, est/32,
+		// the admission estimate predicts: the exact tier takes the
+		// fragment exactly when the estimate fits the state budget.
+		admitted := est <= gapsched.DefaultStateBudget
+		tb.AddRow("dense n="+strconv.Itoa(bigN), est, boolMark(admitted),
 			float64(el.Microseconds())/1000,
 			sol.HeuristicFragments, sol.Subinstances, cost, sol.LowerBound, cost/sol.LowerBound,
-			boolMark(certified == expectExact))
+			boolMark(certified == admitted))
 	}
 	return tb
 }

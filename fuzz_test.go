@@ -446,13 +446,13 @@ func FuzzOnlineCommit(f *testing.F) {
 	})
 }
 
-// FuzzPolyExact certifies the polynomial single-machine backend against
-// the index-space DP engine bit for bit on every decodable instance,
-// forced single-processor (the backend's domain), both objectives:
+// FuzzPolyExact certifies the DP engine against the single-machine
+// reference (internal/poly) bit for bit on every decodable instance,
+// forced single-processor (the reference's domain), both objectives:
 // identical feasibility verdicts, identical optimal costs (dyadic α
 // keeps the float sums exact, so equality is exact equality), and
-// slot-identical schedules — the equivalence ModeAuto's three-way gate
-// relies on when it swaps one exact backend for the other.
+// slot-identical schedules — the equivalence that lets the facade
+// serve single-processor fragments with the engine alone.
 func FuzzPolyExact(f *testing.F) {
 	seedFuzzCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {

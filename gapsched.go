@@ -143,7 +143,10 @@ func MinimizePower(in Instance, alpha float64) (PowerResult, error) {
 
 // Feasible reports whether the one-interval instance admits any
 // feasible schedule (Hall's condition, decided in O(n log n) by the
-// heuristic tier's greedy). An invalid instance is infeasible.
+// heuristic tier's greedy). An invalid instance is infeasible, and so
+// is one outside the coordinate bound the solvers validate: every
+// coordinate within ±(2^62−1) and a horizon spanning at most 2^62−1
+// time units, with 64-bit ints (internal/sched.MaxCoord).
 func Feasible(in Instance) bool { return feas.FeasibleOneInterval(in) }
 
 // FeasibleMulti reports whether the multi-interval instance admits any

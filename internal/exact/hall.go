@@ -17,7 +17,7 @@ import (
 // feas.FeasibleOneInterval and the exact solvers' ErrInfeasible, both
 // of which come from heur.Greedy — and no production path calls it.
 func HallFeasible(in sched.Instance) bool {
-	if in.Validate() != nil {
+	if in.ValidateShape() != nil {
 		return false
 	}
 	n := len(in.Jobs)

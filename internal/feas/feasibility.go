@@ -10,10 +10,14 @@ import (
 // FeasibleOneInterval reports whether every job of the one-interval
 // p-processor instance can be scheduled. It takes the verdict of
 // heur.Greedy, an exact feasibility oracle (heur package doc), in
-// O(n log n); an invalid instance is reported infeasible. The tests
+// O(n log n); an invalid instance — one that fails sched.Instance.Validate,
+// the coordinate bound included — is reported infeasible. The tests
 // hold it against exact.HallFeasible, which checks Hall's condition
 // directly.
 func FeasibleOneInterval(in sched.Instance) bool {
+	if in.Validate() != nil {
+		return false
+	}
 	_, err := heur.Greedy(in)
 	return err == nil
 }

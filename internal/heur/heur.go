@@ -174,7 +174,7 @@ func SolvePowerFragment(in sched.Instance, alpha float64) (Result, error) {
 // every busy time). It returns ErrInfeasible when and only when the
 // instance admits no feasible schedule.
 func Greedy(in sched.Instance) (sched.Schedule, error) {
-	if err := in.Validate(); err != nil {
+	if err := in.ValidateShape(); err != nil {
 		return sched.Schedule{}, err
 	}
 	n := len(in.Jobs)

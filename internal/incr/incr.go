@@ -42,10 +42,9 @@ import (
 // callback handed to Resolve. Schedule is fragment-local: zero-based
 // times, slots aligned with the fragment's jobs in id order. LB is the
 // fragment's certified lower bound (the optimal cost itself when the
-// fragment was solved exactly), Heur marks heuristic-tier results, and
-// Poly marks exact solves by the polynomial single-machine backend;
-// all are stored with the fragment so reuse keeps the session's
-// aggregate certificate and backend accounting exact. Hit reports a
+// fragment was solved exactly) and Heur marks heuristic-tier results;
+// both are stored with the fragment so reuse keeps the session's
+// aggregate certificate and tier accounting exact. Hit reports a
 // fragment-cache hit (informational). Err is typically the engine's
 // infeasibility error.
 type Result struct {
@@ -56,7 +55,6 @@ type Result struct {
 	Expanded int // DP states the fragment's exact solve expanded
 	LB       float64
 	Heur     bool
-	Poly     bool
 	Hit      bool
 	Err      error
 }
@@ -252,10 +250,8 @@ type Counts struct {
 	// fragment time order, matching the one-shot facade's accounting.
 	LowerBound float64
 	// HeuristicFragments counts the fragments whose current stored
-	// result came from the heuristic tier; PolyFragments those served
-	// by the polynomial single-machine backend.
+	// result came from the heuristic tier.
 	HeuristicFragments int
-	PolyFragments      int
 }
 
 // Resolve brings the solution up to date: dirty fragments are solved
@@ -291,9 +287,6 @@ func (t *Tracker) Resolve(solve func(sched.Instance) Result) (cost float64, s sc
 		c.LowerBound += f.res.LB
 		if f.res.Heur {
 			c.HeuristicFragments++
-		}
-		if f.res.Poly {
-			c.PolyFragments++
 		}
 		if f.res.Err != nil {
 			return 0, sched.Schedule{}, c, f.res.Err

@@ -9,7 +9,7 @@ import (
 
 // Span stage names recorded by the solving pipeline. Solve spans
 // additionally carry the backend that served the fragment
-// ("dp", "poly", "heuristic").
+// ("dp", "heuristic").
 const (
 	StageQueueWait = "queue_wait" // coalescer buffering, enqueue → dispatch
 	StagePrep      = "prep"       // instance validation + decomposition

@@ -1,8 +1,12 @@
-// Package poly is the second exact backend of the solving pipeline:
-// Baptiste's polynomial single-machine dynamic program for minimum-gap
-// scheduling of unit jobs [Bap06] — the algorithm Baptiste, Chrobak and
-// Dürr extend to minimum-energy scheduling and that Demaine et al.
-// generalize to p processors (the index-space engine in internal/core).
+// Package poly is the single-machine reference implementation of the
+// exact tier: Baptiste's polynomial single-machine dynamic program for
+// minimum-gap scheduling of unit jobs [Bap06] — the algorithm
+// Baptiste, Chrobak and Dürr extend to minimum-energy scheduling and
+// that Demaine et al. generalize to p processors (the index-space
+// engine in internal/core, which contains this recursion as its p = 1
+// case). The facade does not route to it: it stays as the p = 1
+// reference the tests, FuzzPolyExact and the E23 head-to-head lanes
+// hold the engine against.
 //
 // The recursion is the same interval decomposition core runs — the
 // subproblem C(t1, t2, k, ℓ1, ℓ2, c2) schedules the k earliest-deadline
@@ -11,10 +15,9 @@
 // collapses to a bit: ℓ1, ℓ2, c2 ∈ {0, 1}, the case-B profile height at
 // the split is always 1, and the right child's level fan-out is {0, 1}
 // instead of p+1. That removes the (p+1)³ factor from the state space
-// (the memo is keyed by interval pair × k × three bits) and, with it,
-// the reason the index-space admission estimate rejects single-
-// processor fragments in the thousands of jobs: this backend's
-// admission signal (Estimate) is a polynomial of much lower degree.
+// (the memo is keyed by interval pair × k × three bits). The engine
+// expands the same states at p = 1, which is why prep.StateEstimate
+// prices every single-processor fragment by the frontier G·(n+1).
 //
 // Like core, the recursion is branch-and-bound: the greedy tier's
 // feasible schedule seeds an incumbent budget, nodes are screened by
@@ -33,7 +36,6 @@ import (
 	"sort"
 
 	"repro/internal/heur"
-	"repro/internal/prep"
 	"repro/internal/sched"
 )
 
@@ -56,31 +58,6 @@ func Admissible(in sched.Instance) bool {
 		p = n
 	}
 	return p <= 1
-}
-
-// Estimate returns this backend's deterministic a-priori admission
-// signal: G·(n+1), where G is the candidate-grid size (prep.GridSize,
-// the same grid the recursion builds). Like prep.StateEstimate it is a
-// routing signal — monotone in fragment size, identical for a fragment
-// and its canonical form, saturating instead of overflowing — not a
-// visited-state prediction; the bounded recursion expands far fewer
-// states than its interval-pair space on real workloads (E23 measures
-// the scaling), which is why the signal deliberately prices the
-// per-interval frontier rather than the G² pair space. The empty
-// instance estimates 0.
-func Estimate(in sched.Instance) int {
-	n := len(in.Jobs)
-	if n == 0 {
-		return 0
-	}
-	g := prep.GridSize(in)
-	if g == 0 {
-		return 0
-	}
-	if g > math.MaxInt/(n+1) {
-		return math.MaxInt
-	}
-	return g * (n + 1)
 }
 
 // Result reports the outcome of one exact solve on this backend.

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exact"
+	"repro/internal/prep"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -151,20 +152,35 @@ func TestMultiProcessorRejected(t *testing.T) {
 	}
 }
 
-// TestEstimate pins the admission signal's shape: 0 for empty, G·(n+1)
-// otherwise, monotone in the horizon.
+// TestEstimate pins the admission price of a fragment this backend
+// serves: prep.StateEstimate prices every single-processor instance by
+// the frontier G·(n+1), with G exactly the size of the grid this
+// engine builds — 0 for empty, 6 by hand for one job [0,2], monotone
+// in the window.
 func TestEstimate(t *testing.T) {
-	if got := Estimate(sched.Instance{Procs: 1}); got != 0 {
+	if got := prep.StateEstimate(sched.Instance{Procs: 1}); got != 0 {
 		t.Fatalf("empty estimate = %d, want 0", got)
 	}
 	small := sched.Instance{Jobs: []sched.Job{{Release: 0, Deadline: 2}}, Procs: 1}
 	// One job: grid is [−1, 3] clipped to [0, 2] → G = 3; G·(n+1) = 6.
-	if got := Estimate(small); got != 6 {
+	if got := prep.StateEstimate(small); got != 6 {
 		t.Fatalf("estimate = %d, want 6", got)
 	}
 	wide := sched.Instance{Jobs: []sched.Job{{Release: 0, Deadline: 200}}, Procs: 1}
-	if Estimate(wide) <= Estimate(small) {
-		t.Fatalf("estimate not monotone: wide %d ≤ small %d", Estimate(wide), Estimate(small))
+	if prep.StateEstimate(wide) <= prep.StateEstimate(small) {
+		t.Fatalf("estimate not monotone: wide %d ≤ small %d", prep.StateEstimate(wide), prep.StateEstimate(small))
+	}
+	rng := rand.New(rand.NewSource(156))
+	for trial := 0; trial < 200; trial++ {
+		in := randInstance(rng, 1+rng.Intn(9), 40, 6)
+		if !Admissible(in) {
+			t.Fatalf("trial %d: single-processor fragment not admissible", trial)
+		}
+		g := len(newEngine(in, gapModel{}).grid)
+		if got, want := prep.StateEstimate(in), g*(len(in.Jobs)+1); got != want {
+			t.Fatalf("trial %d: estimate %d, want G·(n+1) = %d·%d = %d (jobs %v)",
+				trial, got, g, len(in.Jobs)+1, want, in.Jobs)
+		}
 	}
 }
 

@@ -11,18 +11,34 @@ import (
 	"repro/internal/sched"
 )
 
-// StateEstimate returns a deterministic a-priori size estimate of the
-// exact DP on one instance (typically a fragment after Decompose): the
-// engine's index-space shape G²·(n+1)·(p+1)³, where G is the size of
-// the candidate execution grid (the union of the ±n neighbourhoods of
-// releases and deadlines, clipped to the horizon — exactly the grid
-// internal/core builds) and p is capped at n like the engine caps it.
+// pruneDiscount scales the multiprocessor price to reflect
+// branch-and-bound pruning: the index-space shape models the unpruned
+// state space, while the bounded engine expands a fraction of it on
+// real workloads (the state-count reductions E21 measures run well
+// above this factor). Dividing the estimate, rather than multiplying
+// the budget, keeps MaxInt budgets overflow-free.
+const pruneDiscount = 32
+
+// StateEstimate returns ModeAuto's deterministic a-priori admission
+// price of the exact DP on one instance (typically a fragment after
+// Decompose). G is the size of the candidate execution grid (GridSize:
+// the union of the ±n neighbourhoods of releases and deadlines,
+// clipped to the horizon — exactly the grid internal/core builds) and
+// p is the effective processor count, capped at n like the engine caps
+// it:
 //
-// This is an upper-bound-flavoured signal, not a prediction of visited
-// states — the DP touches a vanishingly small fraction of its index
-// space — but it is monotone in fragment size and stable across runs,
-// which is what an admission decision needs: two Solvers with the same
-// budget always classify a fragment the same way. Saturates at MaxInt
+//   - p ≤ 1: G·(n+1), the single-machine frontier. At one processor
+//     every level dimension of the recursion collapses to a bit, and
+//     the bounded engine's expanded states track the per-interval
+//     frontier rather than the G² interval-pair space (E23 measures the
+//     scaling).
+//   - p ≥ 2: G²·(n+1)·(p+1)³/32, the engine's index-space shape
+//     discounted for pruning.
+//
+// This is a routing signal, not a prediction of visited states, but
+// it is monotone in fragment size and stable across runs, which is
+// what an admission decision needs: two Solvers with the same budget
+// always classify a fragment the same way. It saturates at MaxInt
 // instead of overflowing on huge horizons. The empty instance
 // estimates 0.
 func StateEstimate(in sched.Instance) int {
@@ -30,24 +46,26 @@ func StateEstimate(in sched.Instance) int {
 	if n == 0 {
 		return 0
 	}
-	p := in.Procs
-	if p > n {
-		p = n
-	}
+	p := min(in.Procs, n)
 	g := GridSize(in)
+	if p <= 1 {
+		return satMul(g, n+1)
+	}
 	est := g
 	for _, dim := range [...]int{g, n + 1, p + 1, p + 1, p + 1} {
 		est = satMul(est, dim)
 	}
-	return est
+	if est == math.MaxInt {
+		return est
+	}
+	return est / pruneDiscount
 }
 
 // GridSize computes the size of the exact backends' candidate
 // execution grid without materialising it: the measure of the union of
 // the clipped anchor neighbourhoods [a−n, a+n] over all releases and
 // deadlines a — exactly the grid internal/core and internal/poly
-// build. Exported so backend-specific admission estimates (see
-// internal/poly.Estimate) price the same grid StateEstimate does.
+// build.
 func GridSize(in sched.Instance) int {
 	n := len(in.Jobs)
 	lo, hi := in.TimeHorizon()

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -30,6 +31,45 @@ func TestInstanceValidate(t *testing.T) {
 	}
 	if err := (Instance{Jobs: []Job{{0, 1}}, Procs: 0}).Validate(); err == nil {
 		t.Fatal("zero processors accepted")
+	}
+}
+
+// TestValidateCoordinateBound pins the edges of MaxCoord: coordinates
+// at ±MaxCoord and a horizon exactly MaxCoord wide pass; one unit
+// beyond any of them fails with an error wrapping ErrCoordinateBound,
+// which ValidateShape does not check.
+func TestValidateCoordinateBound(t *testing.T) {
+	const m = MaxCoord
+	for _, jobs := range [][]Job{
+		{{-m, 0}},
+		{{0, m}},
+		{{-m, -m}, {0, 0}},
+		{{-m / 2, m - m/2}},
+	} {
+		if err := NewInstance(jobs).Validate(); err != nil {
+			t.Fatalf("%v within the bound: %v", jobs, err)
+		}
+	}
+	for _, jobs := range [][]Job{
+		{{-m - 1, 0}},
+		{{0, m + 1}},
+		{{-m, 1}},
+		{{-m, -m}, {1, 1}},
+		{{math.MinInt + 1, math.MaxInt - 2}},
+	} {
+		in := NewInstance(jobs)
+		if err := in.Validate(); !errors.Is(err, ErrCoordinateBound) {
+			t.Fatalf("%v beyond the bound: got %v, want ErrCoordinateBound", jobs, err)
+		}
+		if err := in.ValidateShape(); err != nil {
+			t.Fatalf("%v: ValidateShape %v, want nil", jobs, err)
+		}
+	}
+	if err := (SessionDeltaRequest{Add: []Job{{0, m + 1}}}).Validate(); !errors.Is(err, ErrCoordinateBound) {
+		t.Fatalf("delta beyond the bound: got %v, want ErrCoordinateBound", err)
+	}
+	if err := (SessionCreateRequest{Jobs: []Job{{-m - 1, 0}}}).Validate(); !errors.Is(err, ErrCoordinateBound) {
+		t.Fatalf("session create beyond the bound: got %v, want ErrCoordinateBound", err)
 	}
 }
 

@@ -16,7 +16,9 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -55,9 +57,45 @@ func NewMultiprocInstance(jobs []Job, p int) Instance { return Instance{Jobs: jo
 // N returns the number of jobs.
 func (in Instance) N() int { return len(in.Jobs) }
 
-// Validate checks structural sanity: at least one processor and
-// non-empty windows for every job.
+// MaxCoord is the coordinate bound Validate enforces: every release and
+// deadline lies within [−MaxCoord, MaxCoord], and an instance's horizon
+// (earliest release to latest deadline) spans at most MaxCoord time
+// units. Within it every grid point t ± n, every window width and every
+// shift onto a zero-based timeline fits an int, and the shifted
+// instance — a prep fragment, a session fragment — is again within the
+// bound, so no layer's time arithmetic can overflow. It is MaxInt/2
+// (2^62 − 1 with 64-bit ints).
+const MaxCoord = math.MaxInt / 2
+
+// ErrCoordinateBound is wrapped by every error that rejects input for
+// exceeding MaxCoord, so callers can tell a bound violation — the
+// caller's fault — from other failures.
+var ErrCoordinateBound = errors.New("coordinate bound")
+
+// Validate checks that the instance is well-formed solver input: at
+// least one processor, non-empty job windows, and the coordinate bound
+// MaxCoord.
 func (in Instance) Validate() error {
+	if in.Procs < 1 {
+		return fmt.Errorf("sched: instance has %d processors, need ≥ 1", in.Procs)
+	}
+	for i, j := range in.Jobs {
+		if err := checkJob("job", i, j); err != nil {
+			return err
+		}
+	}
+	if lo, hi := in.TimeHorizon(); hi-lo > MaxCoord {
+		return fmt.Errorf("sched: instance horizon [%d,%d] spans more than the %w %d (sched.MaxCoord)",
+			lo, hi, ErrCoordinateBound, MaxCoord)
+	}
+	return nil
+}
+
+// ValidateShape is Validate without the coordinate bound: at least one
+// processor and non-empty windows. It serves the callers whose time
+// arithmetic guards against overflow on its own — heur.Greedy, which
+// saturates, and the test oracle exact.HallFeasible.
+func (in Instance) ValidateShape() error {
 	if in.Procs < 1 {
 		return fmt.Errorf("sched: instance has %d processors, need ≥ 1", in.Procs)
 	}
@@ -65,6 +103,21 @@ func (in Instance) Validate() error {
 		if !j.Valid() {
 			return fmt.Errorf("sched: job %d has empty window [%d,%d]", i, j.Release, j.Deadline)
 		}
+	}
+	return nil
+}
+
+// checkJob reports why job i — named by what, "job" or "added job" —
+// cannot be scheduled: an empty window, or a window outside the
+// coordinate bound (a coordinate beyond ±MaxCoord, or a width beyond
+// MaxCoord).
+func checkJob(what string, i int, j Job) error {
+	if !j.Valid() {
+		return fmt.Errorf("sched: %s %d has empty window [%d,%d]", what, i, j.Release, j.Deadline)
+	}
+	if j.Release < -MaxCoord || j.Deadline > MaxCoord || j.Deadline-j.Release > MaxCoord {
+		return fmt.Errorf("sched: %s %d window [%d,%d] exceeds the %w %d (sched.MaxCoord)",
+			what, i, j.Release, j.Deadline, ErrCoordinateBound, MaxCoord)
 	}
 	return nil
 }

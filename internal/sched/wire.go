@@ -72,9 +72,12 @@ type SolveRequest struct {
 	// WireModeAuto ("" = WireModeExact).
 	Mode string `json:"mode,omitempty"`
 	// StateBudget tunes WireModeAuto: a fragment is solved exactly when
-	// its estimated DP size is within the budget (0 = the server's
+	// its admission estimate is within the budget (0 = the server's
 	// default budget; negative sends every fragment to the heuristic).
-	// Ignored by the other modes.
+	// It governs single- and multiprocessor fragments alike: there is
+	// one exact backend and one estimate, so a caller-set budget decides
+	// single-processor fragments directly too. Ignored by the other
+	// modes.
 	StateBudget int `json:"stateBudget,omitempty"`
 	// Jobs are the unit jobs to schedule.
 	Jobs []Job `json:"jobs"`
@@ -152,10 +155,9 @@ type SolveResponse struct {
 	// reported cost.
 	LowerBound float64 `json:"lowerBound,omitempty"`
 	// HeuristicFragments counts the fragments served by the greedy
-	// tier (0 for exact solves); PolyFragments those served exactly by
-	// the polynomial single-machine backend (auto mode only).
+	// tier (0 for exact solves); the exact DP engine served the other
+	// subinstances.
 	HeuristicFragments int `json:"heuristicFragments,omitempty"`
-	PolyFragments      int `json:"polyFragments,omitempty"`
 	// ResolvedFragments and ReusedFragments are set by session solves
 	// (/v1/session/{id}/solve): how many fragments the incremental
 	// resolve actually re-solved versus served from session state.
@@ -181,11 +183,11 @@ type SolveResponse struct {
 // fields are integer nanoseconds. Cache hits report their lookup time
 // under CacheNs rather than the original solve's cost, and session
 // solves report only the fragments the resolve actually re-solved.
+// Every exact solve is reported under SolveDPNs.
 type WireTimings struct {
 	PrepNs      int64 `json:"prepNs,omitempty"`
 	CacheNs     int64 `json:"cacheNs,omitempty"`
 	SolveDPNs   int64 `json:"solveDpNs,omitempty"`
-	SolvePolyNs int64 `json:"solvePolyNs,omitempty"`
 	SolveHeurNs int64 `json:"solveHeurNs,omitempty"`
 	AssembleNs  int64 `json:"assembleNs,omitempty"`
 }
@@ -267,7 +269,7 @@ type SessionCreateRequest struct {
 
 // Validate checks the request: a known objective, a known mode, a
 // non-negative alpha, a representable processor count, and non-empty
-// job windows.
+// job windows within the coordinate bound ±MaxCoord.
 func (r SessionCreateRequest) Validate() error {
 	switch r.Objective {
 	case "", WireGaps, WirePower:
@@ -284,8 +286,8 @@ func (r SessionCreateRequest) Validate() error {
 		return fmt.Errorf("sched: negative processor count %d", r.Procs)
 	}
 	for i, j := range r.Jobs {
-		if !j.Valid() {
-			return fmt.Errorf("sched: job %d has empty window [%d,%d]", i, j.Release, j.Deadline)
+		if err := checkJob("job", i, j); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -305,16 +307,16 @@ type SessionDeltaRequest struct {
 }
 
 // Validate checks the delta: it must carry at least one operation,
-// every added job needs a non-empty window, and no id is removed
-// twice. (Whether removal ids are live is checked against the session
-// by the service, not here.)
+// every added job needs a non-empty window within the coordinate bound
+// ±MaxCoord, and no id is removed twice. (Whether removal ids are live
+// is checked against the session by the service, not here.)
 func (r SessionDeltaRequest) Validate() error {
 	if len(r.Add) == 0 && len(r.Remove) == 0 {
 		return fmt.Errorf("sched: session delta carries no operations")
 	}
 	for i, j := range r.Add {
-		if !j.Valid() {
-			return fmt.Errorf("sched: added job %d has empty window [%d,%d]", i, j.Release, j.Deadline)
+		if err := checkJob("added job", i, j); err != nil {
+			return err
 		}
 	}
 	seen := make(map[int]bool, len(r.Remove))

@@ -134,7 +134,6 @@ func stageSummary(d obs.TraceData) string {
 		{obs.StagePrep, ""},
 		{obs.StageCache, ""},
 		{obs.StageSolve, "dp"},
-		{obs.StageSolve, "poly"},
 		{obs.StageSolve, "heuristic"},
 		{obs.StageAssemble, ""},
 	}

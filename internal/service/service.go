@@ -368,7 +368,6 @@ func wireOutcome(out outcome) sched.SolveResponse {
 		Mode:               sol.Mode.String(),
 		LowerBound:         sol.LowerBound,
 		HeuristicFragments: sol.HeuristicFragments,
-		PolyFragments:      sol.PolyFragments,
 		CompetitiveRatio:   sol.CompetitiveRatio,
 		CommittedJobs:      sol.CommittedJobs,
 		CommittedCost:      sol.CommittedCost,
@@ -376,7 +375,6 @@ func wireOutcome(out outcome) sched.SolveResponse {
 			PrepNs:      sol.Timings.Prep.Nanoseconds(),
 			CacheNs:     sol.Timings.Cache.Nanoseconds(),
 			SolveDPNs:   sol.Timings.SolveDP.Nanoseconds(),
-			SolvePolyNs: sol.Timings.SolvePoly.Nanoseconds(),
 			SolveHeurNs: sol.Timings.SolveHeur.Nanoseconds(),
 			AssembleNs:  sol.Timings.Assemble.Nanoseconds(),
 		},
@@ -402,8 +400,11 @@ func wireError(err error) *sched.WireError {
 	case errors.Is(err, gapsched.ErrSessionClosed):
 		// The session was deleted or expired between lookup and use.
 		code = sched.ErrCodeNotFound
-	case errors.Is(err, gapsched.ErrCommitOnly), errors.Is(err, gapsched.ErrReleaseOrder):
-		// Online-session contract violations: the request is at fault.
+	case errors.Is(err, gapsched.ErrCommitOnly), errors.Is(err, gapsched.ErrReleaseOrder),
+		errors.Is(err, sched.ErrCoordinateBound):
+		// Online-session contract violations, and a session whose
+		// chained windows outgrow the coordinate bound: the request is
+		// at fault.
 		code = sched.ErrCodeBadRequest
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		code = sched.ErrCodeCanceled

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -390,5 +391,64 @@ func TestSolveHugeProcs(t *testing.T) {
 		if got.Spans != want.Spans {
 			t.Fatalf("%s: %d spans on p=2^40, want %d (p=2)", mode, got.Spans, want.Spans)
 		}
+	}
+}
+
+// TestCoordinateBoundIsBadRequest: jobs outside the coordinate bound
+// sched.MaxCoord used to overflow into an "empty window" rejection or
+// a wrong infeasible verdict. Every endpoint must answer them with a
+// 400 bad_request whose message names the bound — a solve, a batch
+// element, a session create, a delta, and a session solve whose
+// chained windows outgrow the bound only once fragments are formed.
+func TestCoordinateBoundIsBadRequest(t *testing.T) {
+	srv := New(Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	const bound = "coordinate bound"
+	repros := [][]sched.Job{
+		{{Release: math.MinInt64 + 1, Deadline: math.MaxInt64 - 2}},
+		{{Release: math.MinInt + 1, Deadline: math.MaxInt - 1}, {Release: math.MinInt + 1, Deadline: math.MinInt + 1}},
+	}
+	for i, jobs := range repros {
+		for _, mode := range []string{sched.WireModeExact, sched.WireModeAuto, sched.WireModeHeuristic} {
+			resp := postJSON(t, ts.URL+"/v1/solve", sched.SolveRequest{Mode: mode, Jobs: jobs})
+			out := decodeSolve(t, resp)
+			if resp.StatusCode != http.StatusBadRequest || out.Err == nil ||
+				out.Err.Code != sched.ErrCodeBadRequest || !strings.Contains(out.Err.Message, bound) {
+				t.Fatalf("repro %d %s: status %d payload %+v, want 400 naming the bound", i, mode, resp.StatusCode, out.Err)
+			}
+		}
+		resp := postJSON(t, ts.URL+"/v1/batch", sched.BatchRequest{Requests: []sched.SolveRequest{{Jobs: jobs}}})
+		var batch sched.BatchResponse
+		if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if len(batch.Responses) != 1 || batch.Responses[0].Err == nil ||
+			batch.Responses[0].Err.Code != sched.ErrCodeBadRequest || !strings.Contains(batch.Responses[0].Err.Message, bound) {
+			t.Fatalf("repro %d batch: %+v, want a bad_request element naming the bound", i, batch)
+		}
+		code, out := sessionDo(t, "POST", ts.URL+"/v1/session", sched.SessionCreateRequest{Jobs: jobs})
+		if code != http.StatusBadRequest || out.Err == nil || !strings.Contains(out.Err.Message, bound) {
+			t.Fatalf("repro %d session create: status %d payload %+v", i, code, out.Err)
+		}
+	}
+
+	_, out := sessionDo(t, "POST", ts.URL+"/v1/session", sched.SessionCreateRequest{})
+	code, dout := sessionDo(t, "POST", ts.URL+"/v1/session/"+out.Session+"/delta",
+		sched.SessionDeltaRequest{Add: repros[0]})
+	if code != http.StatusBadRequest || dout.Err == nil || !strings.Contains(dout.Err.Message, bound) {
+		t.Fatalf("delta: status %d payload %+v", code, dout.Err)
+	}
+	// Each window is within the bound, but the two chain into one
+	// fragment spanning 2·MaxCoord.
+	_, out = sessionDo(t, "POST", ts.URL+"/v1/session", sched.SessionCreateRequest{Jobs: []sched.Job{
+		{Release: -sched.MaxCoord, Deadline: 0}, {Release: 0, Deadline: sched.MaxCoord}}})
+	code, sout := sessionSolve(t, ts.URL, out.Session)
+	if code != http.StatusBadRequest || sout.Err == nil || sout.Err.Code != sched.ErrCodeBadRequest ||
+		!strings.Contains(sout.Err.Message, bound) {
+		t.Fatalf("chained session solve: status %d payload %+v", code, sout.Err)
 	}
 }

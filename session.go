@@ -145,6 +145,9 @@ func (ss *Session) Add(j Job) (int, error) {
 	if !j.Valid() {
 		return 0, fmt.Errorf("gapsched: job has empty window [%d,%d]", j.Release, j.Deadline)
 	}
+	if err := (Instance{Jobs: []Job{j}, Procs: 1}).Validate(); err != nil {
+		return 0, err
+	}
 	if ss.onl != nil {
 		if _, _, err := ss.onl.Step(j.Release, []sched.Job{j}); err != nil {
 			return 0, err
@@ -253,7 +256,7 @@ func (ss *Session) ResolveContext(ctx context.Context) (Solution, error) {
 		timings.add(r)
 		return incr.Result{Cost: r.cost, Schedule: r.schedule, States: r.states,
 			Pruned: r.pruned, Expanded: r.expanded,
-			LB: r.lb, Heur: r.heur, Poly: r.poly, Hit: r.hit, Err: r.err}
+			LB: r.lb, Heur: r.heur, Hit: r.hit, Err: r.err}
 	})
 	if err != nil {
 		return Solution{}, err
@@ -282,7 +285,6 @@ func (ss *Session) ResolveContext(ctx context.Context) (Solution, error) {
 		Mode:               ss.solver.Mode,
 		LowerBound:         counts.LowerBound,
 		HeuristicFragments: counts.HeuristicFragments,
-		PolyFragments:      counts.PolyFragments,
 	}
 	ss.rt.finish(&sol, cost)
 	return sol, nil
@@ -319,7 +321,6 @@ func (ss *Session) resolveOnline(counts incr.Counts) (Solution, error) {
 		Mode:               ModeAuto, // the mirror's tier
 		LowerBound:         counts.LowerBound,
 		HeuristicFragments: counts.HeuristicFragments,
-		PolyFragments:      counts.PolyFragments,
 		CommittedJobs:      acct.Committed,
 		CommittedCost:      acct.Cost,
 		CompetitiveRatio:   1,

@@ -13,7 +13,6 @@ import (
 	"repro/internal/fragcache"
 	"repro/internal/heur"
 	"repro/internal/obs"
-	"repro/internal/poly"
 	"repro/internal/prep"
 	"repro/internal/sched"
 )
@@ -52,14 +51,11 @@ const (
 	// optimality gaps (Solution.LowerBound ≤ OPT ≤ cost), serving
 	// instance sizes the exact tier cannot.
 	ModeHeuristic
-	// ModeAuto picks per fragment among three tiers: the index-space DP
-	// engine when the fragment's estimated DP size (prep.StateEstimate)
-	// is within Solver.StateBudget; otherwise the polynomial
-	// single-machine backend (internal/poly) when the fragment is
-	// single-processor and its own, lower-degree estimate
-	// (poly.Estimate) is within Solver.PolyBudget; the heuristic
-	// otherwise. Mixed instances thus get exact answers wherever either
-	// exact backend is affordable, and the Solution's LowerBound stays
+	// ModeAuto picks per fragment between the two tiers: the exact DP
+	// engine when the fragment's admission estimate
+	// (prep.StateEstimate) is within Solver.StateBudget, the heuristic
+	// otherwise. Mixed instances thus get exact answers wherever the
+	// exact tier is affordable, and the Solution's LowerBound stays
 	// tight (exact fragments contribute their optimal cost to it).
 	ModeAuto
 )
@@ -103,27 +99,17 @@ func ParseMode(s string) (Mode, error) {
 }
 
 // DefaultStateBudget is the ModeAuto exact-tier admission bound used
-// when Solver.StateBudget is zero. It is calibrated so fragments of up
-// to a few hundred jobs (sub-millisecond exact solves) stay exact while
-// the huge fragments that would stall the engine go to the heuristic.
+// when Solver.StateBudget is zero. It admits multiprocessor fragments
+// of a few hundred dense jobs and single-processor fragments of a few
+// thousand (the E21 and E23 admission tables), while the huge
+// fragments that would stall the engine go to the heuristic.
 const DefaultStateBudget = 1 << 25
-
-// DefaultPolyBudget is the ModeAuto admission bound for the polynomial
-// single-machine backend, used when Solver.PolyBudget is zero. The
-// backend's estimate (poly.Estimate, G·(n+1)) is a much lower-degree
-// polynomial than the index-space shape, so the same order of budget
-// admits single-processor fragments with thousands of jobs — the E23
-// crossover — while fragments large enough to stall even the
-// specialized backend still fall to the heuristic.
-const DefaultPolyBudget = 1 << 25
 
 // Solver is the configured entry point to the solving pipeline:
 // preprocessing (instance decomposition and coordinate compression, see
-// internal/prep), the solving tiers — the exact tier with its two
-// backends, the index-space DP engine (internal/core) and the
-// polynomial single-machine DP (internal/poly), plus the certified
-// greedy heuristic (internal/heur), selected by Mode — an optional
-// canonical-fragment solution cache,
+// internal/prep), the solving tiers — the exact DP engine
+// (internal/core) and the certified greedy heuristic (internal/heur),
+// selected by Mode — an optional canonical-fragment solution cache,
 // and, for SolveBatch, a bounded worker pool fed at fragment
 // granularity. The zero value minimizes gaps exactly with
 // preprocessing enabled and no cache.
@@ -133,9 +119,9 @@ type Solver struct {
 	// Alpha is the sleep→active transition cost; used by
 	// ObjectivePower. Must be non-negative.
 	Alpha float64
-	// NoPreprocess skips the prep layer and hands the raw instance to
-	// the DP engine in one piece. Useful for ablation; results are
-	// identical either way.
+	// NoPreprocess skips the prep layer and hands the raw (validated)
+	// instance to the solving tier in one piece. Useful for ablation;
+	// results are identical either way.
 	NoPreprocess bool
 	// Workers bounds SolveBatch concurrency. Zero or negative means
 	// GOMAXPROCS.
@@ -153,24 +139,16 @@ type Solver struct {
 	// solution with a heuristic one). Takes precedence over CacheSize.
 	Cache *FragmentCache
 	// Mode selects the solving tier: ModeExact (default), ModeHeuristic,
-	// or ModeAuto, which decides per fragment using StateBudget and
-	// PolyBudget.
+	// or ModeAuto, which decides per fragment using StateBudget.
 	Mode Mode
-	// StateBudget is ModeAuto's admission bound for the index-space DP
-	// engine: a fragment is solved there when its estimated DP size
-	// (prep.StateEstimate) is at most this. Zero means
-	// DefaultStateBudget; a negative budget disables the whole exact
-	// tier — both backends — and sends every fragment to the heuristic.
-	// Ignored by ModeExact and ModeHeuristic.
+	// StateBudget is ModeAuto's admission bound for the exact tier: a
+	// fragment is solved exactly when its admission estimate
+	// (prep.StateEstimate, which prices single- and multiprocessor
+	// fragments differently) is at most this. Zero means
+	// DefaultStateBudget; a negative budget disables the exact tier and
+	// sends every fragment to the heuristic. Ignored by ModeExact and
+	// ModeHeuristic.
 	StateBudget int
-	// PolyBudget is ModeAuto's admission bound for the polynomial
-	// single-machine backend, consulted only for fragments the
-	// StateBudget gate rejected: such a fragment is solved by
-	// internal/poly when it is single-processor (poly.Admissible) and
-	// its backend estimate (poly.Estimate) is at most this. Zero means
-	// DefaultPolyBudget; a negative budget disables the polynomial
-	// backend. Ignored by ModeExact and ModeHeuristic.
-	PolyBudget int
 }
 
 // Solution is the unified outcome of a Solver run.
@@ -221,12 +199,11 @@ type Solution struct {
 	// tier; 0 for ModeExact, Subinstances for ModeHeuristic, and
 	// in between for ModeAuto on mixed instances.
 	HeuristicFragments int
-	// PolyFragments counts the fragments served by the polynomial
-	// single-machine backend (internal/poly) — exact solves, so they
-	// contribute their optimal cost to LowerBound like the DP engine's.
-	// Only ModeAuto routes fragments there, so this is 0 for ModeExact
-	// and ModeHeuristic; the DP engine served
-	// Subinstances − HeuristicFragments − PolyFragments.
+	// PolyFragments is always 0: the DP engine serves every exact
+	// fragment (Subinstances − HeuristicFragments of them).
+	//
+	// Deprecated: the facade has one exact backend; the field stays for
+	// callers that still read it.
 	PolyFragments int
 	// CompetitiveRatio, CommittedJobs, and CommittedCost are set by
 	// Resolve on online (commit-only) sessions and zero everywhere
@@ -263,7 +240,7 @@ type Solution struct {
 // Timings is a solve's per-stage wall-clock breakdown. The stages
 // mirror the pipeline: preprocessing (validation + decomposition),
 // fragment-cache service (lookups that avoided a backend solve,
-// singleflight waits included), the three solving backends, and
+// singleflight waits included), the two solving tiers, and
 // reassembly (fragment schedules → instance schedule + validation).
 // Durations are summed over fragments/sub-steps, so on a parallel
 // SolveBatch they report aggregate work, not elapsed wall-clock.
@@ -271,14 +248,13 @@ type Timings struct {
 	Prep      time.Duration
 	Cache     time.Duration
 	SolveDP   time.Duration
-	SolvePoly time.Duration
 	SolveHeur time.Duration
 	Assemble  time.Duration
 }
 
-// Solve returns the summed backend solve time across all three tiers.
+// Solve returns the summed backend solve time across both tiers.
 func (t Timings) Solve() time.Duration {
-	return t.SolveDP + t.SolvePoly + t.SolveHeur
+	return t.SolveDP + t.SolveHeur
 }
 
 // Total returns the summed duration of every recorded stage.
@@ -292,12 +268,9 @@ func (t *Timings) add(r fragResult) {
 		t.Cache += r.dur
 		return
 	}
-	switch {
-	case r.heur:
+	if r.heur {
 		t.SolveHeur += r.dur
-	case r.poly:
-		t.SolvePoly += r.dur
-	default:
+	} else {
 		t.SolveDP += r.dur
 	}
 }
@@ -343,117 +316,50 @@ type fragSolution struct {
 	expanded int
 	lb       float64
 	heur     bool
-	poly     bool
 	err      error
 }
 
-// heurTag and polyTag mark heuristic-tier and polynomial-backend
-// entries in the cache key's tag byte, so backends can never serve
-// each other's solutions even when Solvers of different modes share
-// one FragmentCache. (Poly entries are exact, but their counters —
-// states, backend attribution — differ from the DP engine's, and
-// keeping the keyspaces disjoint keeps every Solution's accounting
-// independent of who warmed the cache.)
-const (
-	heurTag = 0x80
-	polyTag = 0x40
-)
-
-// backend identifies which solver serves one fragment: the exact tier
-// is pluggable — the index-space B&B engine (internal/core) and the
-// polynomial single-machine DP (internal/poly) are two implementations
-// behind the same seam — and the certified greedy is the fallback.
-type backend int
-
-const (
-	backendDP backend = iota
-	backendPoly
-	backendHeur
-)
+// heurTag marks heuristic-tier entries in the cache key's tag byte, so
+// the tiers can never serve each other's solutions even when Solvers
+// of different modes share one FragmentCache.
+const heurTag = 0x80
 
 // objectiveRuntime binds the objective- and mode-specific pieces of
 // the pipeline after the configuration has been validated once: how to
-// decompose an instance, how to solve one fragment on each backend,
-// which backend a fragment goes to, and how to interpret the
-// accumulated cost. Sharing it between Solve and SolveBatch is what
-// makes their validation and results uniform.
+// decompose an instance, how to solve one fragment on each tier, which
+// tier a fragment goes to, and how to interpret the accumulated cost.
+// Sharing it between Solve and SolveBatch is what makes their
+// validation and results uniform.
 type objectiveRuntime struct {
 	tag        byte // cache-key objective tag
 	alpha      float64
 	mode       Mode
-	budget     int // resolved ModeAuto DP-engine admission bound
-	polyBudget int // resolved ModeAuto poly-backend admission bound
+	budget     int // resolved ModeAuto exact-tier admission bound
 	plan       func(sched.Instance) *prep.Plan
 	solveExact func(sched.Instance) fragSolution
-	solvePoly  func(sched.Instance) fragSolution
 	solveHeur  func(sched.Instance) fragSolution
 	finish     func(*Solution, float64)
 }
 
-// solverFor returns the solve function and cache-key tag of one
-// backend. Distinct tag bits keep the three keyspaces disjoint in a
-// shared FragmentCache.
-func (rt *objectiveRuntime) solverFor(b backend) (func(sched.Instance) fragSolution, byte) {
-	switch b {
-	case backendPoly:
-		return rt.solvePoly, rt.tag | polyTag
-	case backendHeur:
+// tier returns the solve function and cache-key tag of the tier
+// serving one fragment under the configured mode. ModeAuto sends the
+// fragment to the exact DP engine when its admission estimate fits
+// StateBudget and to the heuristic otherwise; the estimate is never
+// negative, so a negative StateBudget sends every fragment to the
+// heuristic (auto with a negative budget ≡ heuristic). The estimate
+// depends only on the job multiset and processor count, so the
+// decision is identical for a fragment and its canonical form.
+func (rt *objectiveRuntime) tier(fr sched.Instance) (func(sched.Instance) fragSolution, byte) {
+	if rt.mode == ModeHeuristic || rt.mode == ModeAuto && prep.StateEstimate(fr) > rt.budget {
 		return rt.solveHeur, rt.tag | heurTag
 	}
 	return rt.solveExact, rt.tag
-}
-
-// autoPruneDiscount scales ModeAuto's admission estimate to reflect
-// branch-and-bound pruning: prep.StateEstimate models the unpruned
-// state space, while the bounded engine expands a fraction of it on
-// real workloads (the state-count reductions E21 measures run well
-// above this factor), so admitting by raw estimate would send the
-// exact tier's newly affordable fragments to the heuristic. Dividing
-// the estimate, rather than multiplying the budget, keeps MaxInt
-// budgets overflow-free.
-const autoPruneDiscount = 32
-
-// tier picks the backend serving one fragment under the configured
-// mode. ModeAuto decides three ways: the index-space DP engine when
-// the fragment's estimated DP size — discounted for pruning — fits
-// StateBudget; otherwise the polynomial backend when the fragment is
-// single-processor and its lower-degree estimate fits PolyBudget;
-// the heuristic otherwise. A negative StateBudget disables the whole
-// exact tier (both backends), preserving the established "auto with a
-// negative budget ≡ heuristic" contract. Every estimate depends only
-// on the job multiset and processor count, so the decision is
-// identical for a fragment and its canonical form.
-func (rt *objectiveRuntime) tier(fr sched.Instance) backend {
-	switch rt.mode {
-	case ModeHeuristic:
-		return backendHeur
-	case ModeAuto:
-		if rt.budget < 0 {
-			return backendHeur
-		}
-		if prep.StateEstimate(fr)/autoPruneDiscount <= rt.budget {
-			return backendDP
-		}
-		if rt.polyBudget >= 0 && poly.Admissible(fr) && poly.Estimate(fr) <= rt.polyBudget {
-			return backendPoly
-		}
-		return backendHeur
-	}
-	return backendDP
 }
 
 // heurErr maps the heuristic tier's infeasibility onto the facade's
 // ErrInfeasible, so callers see one error identity regardless of tier.
 func heurErr(err error) error {
 	if errors.Is(err, heur.ErrInfeasible) {
-		return ErrInfeasible
-	}
-	return err
-}
-
-// polyErr is heurErr's analogue for the polynomial backend.
-func polyErr(err error) error {
-	if errors.Is(err, poly.ErrInfeasible) {
 		return ErrInfeasible
 	}
 	return err
@@ -475,29 +381,18 @@ func (s Solver) runtime() (objectiveRuntime, error) {
 	if budget == 0 {
 		budget = DefaultStateBudget
 	}
-	polyBudget := s.PolyBudget
-	if polyBudget == 0 {
-		polyBudget = DefaultPolyBudget
-	}
 	switch s.Objective {
 	case ObjectiveGaps:
 		return objectiveRuntime{
-			tag:        byte(ObjectiveGaps),
-			mode:       s.Mode,
-			budget:     budget,
-			polyBudget: polyBudget,
-			plan:       prep.ForGaps,
+			tag:    byte(ObjectiveGaps),
+			mode:   s.Mode,
+			budget: budget,
+			plan:   prep.ForGaps,
 			solveExact: func(fr sched.Instance) fragSolution {
 				res, err := core.SolveGaps(fr)
 				return fragSolution{cost: float64(res.Spans), schedule: res.Schedule,
 					states: res.States, pruned: res.PrunedStates, expanded: res.ExpandedStates,
 					lb: float64(res.Spans), err: err}
-			},
-			solvePoly: func(fr sched.Instance) fragSolution {
-				res, err := poly.SolveGaps(fr)
-				return fragSolution{cost: res.Cost, schedule: res.Schedule,
-					states: res.States, pruned: res.PrunedStates, expanded: res.ExpandedStates,
-					lb: res.Cost, poly: true, err: polyErr(err)}
 			},
 			solveHeur: func(fr sched.Instance) fragSolution {
 				res, err := heur.SolveGapsFragment(fr)
@@ -512,23 +407,16 @@ func (s Solver) runtime() (objectiveRuntime, error) {
 	case ObjectivePower:
 		alpha := s.Alpha
 		return objectiveRuntime{
-			tag:        byte(ObjectivePower),
-			alpha:      alpha,
-			mode:       s.Mode,
-			budget:     budget,
-			polyBudget: polyBudget,
-			plan:       func(in sched.Instance) *prep.Plan { return prep.ForPower(in, alpha) },
+			tag:    byte(ObjectivePower),
+			alpha:  alpha,
+			mode:   s.Mode,
+			budget: budget,
+			plan:   func(in sched.Instance) *prep.Plan { return prep.ForPower(in, alpha) },
 			solveExact: func(fr sched.Instance) fragSolution {
 				res, err := core.SolvePower(fr, alpha)
 				return fragSolution{cost: res.Power, schedule: res.Schedule,
 					states: res.States, pruned: res.PrunedStates, expanded: res.ExpandedStates,
 					lb: res.Power, err: err}
-			},
-			solvePoly: func(fr sched.Instance) fragSolution {
-				res, err := poly.SolvePower(fr, alpha)
-				return fragSolution{cost: res.Cost, schedule: res.Schedule,
-					states: res.States, pruned: res.PrunedStates, expanded: res.ExpandedStates,
-					lb: res.Cost, poly: true, err: polyErr(err)}
 			},
 			solveHeur: func(fr sched.Instance) fragSolution {
 				res, err := heur.SolvePowerFragment(fr, alpha)
@@ -557,20 +445,16 @@ type fragResult struct {
 	expanded int
 	lb       float64
 	heur     bool
-	poly     bool
 	hit      bool
 	dur      time.Duration
 	err      error
 }
 
-// backendName names the backend that produced a result, matching the
+// backendName names the tier that produced a result, matching the
 // obs span tags and the daemon's per-backend metric labels.
 func (r fragResult) backendName() string {
-	switch {
-	case r.heur:
+	if r.heur {
 		return "heuristic"
-	case r.poly:
-		return "poly"
 	}
 	return "dp"
 }
@@ -622,13 +506,13 @@ func (s Solver) prepare(in Instance, rt objectiveRuntime, tr *obs.Trace) *prepar
 		p.prepDur = time.Since(start)
 		tr.Span(obs.StagePrep, "", start, p.prepDur)
 	}()
+	if err := in.Validate(); err != nil {
+		p.err = err
+		return p
+	}
 	if s.NoPreprocess {
 		p.frags = []sched.Instance{in}
 	} else {
-		if err := in.Validate(); err != nil {
-			p.err = err
-			return p
-		}
 		p.plan = rt.plan(in)
 		p.frags = make([]sched.Instance, len(p.plan.Subs))
 		for i, sub := range p.plan.Subs {
@@ -639,25 +523,25 @@ func (s Solver) prepare(in Instance, rt objectiveRuntime, tr *obs.Trace) *prepar
 	return p
 }
 
-// solveFragment solves one fragment on the backend the configured
-// mode assigns it, through the cache when one is configured. Cached
+// solveFragment solves one fragment on the tier the configured mode
+// assigns it, through the cache when one is configured. Cached
 // solves run on the canonical form of the fragment (jobs sorted in
 // compressed coordinates) and the stored schedule is mapped back
 // through the canonicalization permutation, so a hit returns a
-// schedule of the fragment as given; each backend's entries carry a
-// distinct key tag, so backends never serve each other's solutions.
+// schedule of the fragment as given; each tier's entries carry a
+// distinct key tag, so tiers never serve each other's solutions.
 // Every call is timed: the elapsed wall-clock lands in the result's
 // dur and, when tr is non-nil, in a per-fragment span — a
 // backend-tagged StageSolve span for a real solve, a StageCache span
 // for a hit (singleflight waits on another worker's solve included).
 func (s Solver) solveFragment(rt objectiveRuntime, cache *FragmentCache, fr sched.Instance, tr *obs.Trace) fragResult {
 	start := time.Now()
-	solve, tag := rt.solverFor(rt.tier(fr))
+	solve, tag := rt.tier(fr)
 	if cache == nil {
 		val := solve(fr)
 		res := fragResult{cost: val.cost, schedule: val.schedule, states: val.states,
 			pruned: val.pruned, expanded: val.expanded,
-			lb: val.lb, heur: val.heur, poly: val.poly, err: val.err}
+			lb: val.lb, heur: val.heur, err: val.err}
 		res.record(tr, start)
 		return res
 	}
@@ -666,7 +550,7 @@ func (s Solver) solveFragment(rt objectiveRuntime, cache *FragmentCache, fr sche
 	val, hit := cache.c.Do(key, func() fragSolution { return solve(canon) })
 	res := fragResult{cost: val.cost, states: val.states,
 		pruned: val.pruned, expanded: val.expanded,
-		lb: val.lb, heur: val.heur, poly: val.poly, hit: hit, err: val.err}
+		lb: val.lb, heur: val.heur, hit: hit, err: val.err}
 	if val.err == nil {
 		// Canonical job i is fragment job perm[i]; their windows agree,
 		// so rerouting the slots yields a valid fragment schedule. The
@@ -711,9 +595,6 @@ func (s Solver) finishInstance(p *preparedInstance, rt objectiveRuntime, tr *obs
 		sol.ExpandedStates += r.expanded
 		if r.heur {
 			sol.HeuristicFragments++
-		}
-		if r.poly {
-			sol.PolyFragments++
 		}
 		if r.hit {
 			sol.CacheHits++

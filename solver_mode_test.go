@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/poly"
 	"repro/internal/prep"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -134,11 +133,11 @@ func TestModeAutoNegativeBudgetIsHeuristic(t *testing.T) {
 }
 
 // TestModeAutoMixesTiers: on an instance pairing many small clusters
-// with one oversized single-processor fragment, a mid-sized budget
-// must reject the big fragment from the DP engine. With the polynomial
-// backend enabled (default) the big fragment is still solved exactly —
-// by poly — so the whole solution is certified; with PolyBudget −1 it
-// falls to the heuristic, the pre-poly two-way behavior.
+// with one oversized single-processor fragment, a budget between their
+// estimates must send exactly the big fragment to the heuristic and
+// keep the small ones exact; under the default budget the big fragment
+// is admitted too, so the whole solution is exact and certifies
+// itself.
 func TestModeAutoMixesTiers(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	var jobs []sched.Job
@@ -171,106 +170,166 @@ func TestModeAutoMixesTiers(t *testing.T) {
 		t.Fatalf("test instance degenerate: smallMax %d bigEst %d", smallMax, bigEst)
 	}
 
-	// Default PolyBudget: the big fragment is single-processor, so the
-	// polynomial backend picks it up and the whole solution stays exact.
-	sol, err := Solver{Mode: ModeAuto, StateBudget: smallMax}.Solve(in)
+	mixed, err := Solver{Mode: ModeAuto, StateBudget: smallMax}.Solve(in)
 	if err != nil {
-		t.Fatalf("auto: %v", err)
+		t.Fatalf("auto(mid budget): %v", err)
 	}
-	if sol.PolyFragments != 1 || sol.HeuristicFragments != 0 {
-		t.Fatalf("auto tiers poly=%d heur=%d, want the big fragment on poly and nothing heuristic",
-			sol.PolyFragments, sol.HeuristicFragments)
+	if mixed.HeuristicFragments != 1 || mixed.PolyFragments != 0 {
+		t.Fatalf("auto(mid budget) heur=%d poly=%d, want exactly the big fragment heuristic and no poly",
+			mixed.HeuristicFragments, mixed.PolyFragments)
 	}
-	if err := sol.Schedule.Validate(in); err != nil {
+	if err := mixed.Schedule.Validate(in); err != nil {
 		t.Fatalf("mixed schedule invalid: %v", err)
 	}
-	if float64(sol.Spans) != sol.LowerBound {
-		t.Fatalf("all-exact tiers should certify themselves: spans %d lb %v", sol.Spans, sol.LowerBound)
+	if mixed.LowerBound <= 0 || float64(mixed.Spans) < mixed.LowerBound {
+		t.Fatalf("mixed certificate inverted: spans %d lb %v", mixed.Spans, mixed.LowerBound)
 	}
-	if sol.States == 0 {
+	if mixed.States == 0 {
 		t.Fatal("exact fragments reported no DP states")
 	}
 
-	// PolyBudget −1 disables the polynomial tier: the big fragment falls
-	// to the heuristic, the pre-poly two-way behavior.
-	sol2, err := Solver{Mode: ModeAuto, StateBudget: smallMax, PolyBudget: -1}.Solve(in)
+	// Default budget: the big single-processor fragment is priced by the
+	// single-machine frontier and admitted, so the whole solution is
+	// exact and equals ModeExact's.
+	sol, err := Solver{Mode: ModeAuto}.Solve(in)
 	if err != nil {
-		t.Fatalf("auto(poly off): %v", err)
+		t.Fatalf("auto(default budget): %v", err)
 	}
-	if sol2.HeuristicFragments != 1 || sol2.PolyFragments != 0 {
-		t.Fatalf("auto(poly off) tiers poly=%d heur=%d, want exactly the big one heuristic",
-			sol2.PolyFragments, sol2.HeuristicFragments)
+	want, err := Solver{}.Solve(in)
+	if err != nil {
+		t.Fatalf("exact: %v", err)
 	}
-	if err := sol2.Schedule.Validate(in); err != nil {
-		t.Fatalf("mixed schedule invalid: %v", err)
+	if sol.HeuristicFragments != 0 || sol.PolyFragments != 0 {
+		t.Fatalf("auto(default budget) heur=%d poly=%d, want every fragment on the DP engine",
+			sol.HeuristicFragments, sol.PolyFragments)
 	}
-	if sol2.LowerBound <= 0 || float64(sol2.Spans) < sol2.LowerBound {
-		t.Fatalf("mixed certificate inverted: spans %d lb %v", sol2.Spans, sol2.LowerBound)
-	}
-	if sol2.States == 0 {
-		t.Fatal("exact fragments reported no DP states")
+	if sol.Spans != want.Spans || float64(sol.Spans) != sol.LowerBound {
+		t.Fatalf("auto(default budget) spans %d lb %v, exact spans %d", sol.Spans, sol.LowerBound, want.Spans)
 	}
 }
 
-// TestModeAutoPolyAdmissionBoundary pins the three-way gate's edges on
-// a single dense fragment: with the DP tier priced out, a PolyBudget of
-// exactly the fragment's estimate admits it to the polynomial backend,
-// one less rejects it to the heuristic, and a multi-processor fragment
-// of the same size never reaches poly at any budget.
-func TestModeAutoPolyAdmissionBoundary(t *testing.T) {
+// TestModeAutoAdmissionBoundary pins the two-way gate's edges on a
+// single dense fragment, single- and multiprocessor: a StateBudget of
+// exactly the fragment's estimate admits it to the exact tier, one
+// less sends it to the heuristic.
+func TestModeAutoAdmissionBoundary(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
-	in := NewInstance(workload.StressDense(rng, 200, 1).Jobs)
-
-	pl := prep.ForGaps(in)
-	if len(pl.Subs) != 1 {
-		t.Fatalf("dense instance split into %d fragments, want 1", len(pl.Subs))
-	}
-	frag := pl.Subs[0].Instance
-	pe := poly.Estimate(frag)
-	if pe <= 0 || !poly.Admissible(frag) {
-		t.Fatalf("fragment not poly-admissible (estimate %d)", pe)
-	}
-
-	solve := func(polyBudget int) Solution {
-		t.Helper()
-		sol, err := Solver{Mode: ModeAuto, StateBudget: 1, PolyBudget: polyBudget}.Solve(in)
-		if err != nil {
-			t.Fatalf("auto(PolyBudget %d): %v", polyBudget, err)
+	for _, p := range []int{1, 2} {
+		in := NewMultiprocInstance(workload.StressDense(rng, 200, p).Jobs, p)
+		pl := prep.ForGaps(in)
+		if len(pl.Subs) != 1 {
+			t.Fatalf("p=%d: dense instance split into %d fragments, want 1", p, len(pl.Subs))
 		}
-		if err := sol.Schedule.Validate(in); err != nil {
-			t.Fatalf("schedule invalid (PolyBudget %d): %v", polyBudget, err)
+		est := prep.StateEstimate(pl.Subs[0].Instance)
+		solve := func(budget int) Solution {
+			t.Helper()
+			sol, err := Solver{Mode: ModeAuto, StateBudget: budget}.Solve(in)
+			if err != nil {
+				t.Fatalf("p=%d auto(StateBudget %d): %v", p, budget, err)
+			}
+			if err := sol.Schedule.Validate(in); err != nil {
+				t.Fatalf("p=%d schedule invalid (StateBudget %d): %v", p, budget, err)
+			}
+			return sol
 		}
-		return sol
+		admitted := solve(est)
+		if admitted.HeuristicFragments != 0 || admitted.States == 0 {
+			t.Fatalf("p=%d budget == estimate: heur=%d states=%d, want the DP engine",
+				p, admitted.HeuristicFragments, admitted.States)
+		}
+		if float64(admitted.Spans) != admitted.LowerBound {
+			t.Fatalf("p=%d exact fragment not certified: spans %d lb %v", p, admitted.Spans, admitted.LowerBound)
+		}
+		rejected := solve(est - 1)
+		if rejected.HeuristicFragments != rejected.Subinstances {
+			t.Fatalf("p=%d budget == estimate−1: heur=%d of %d, want all heuristic",
+				p, rejected.HeuristicFragments, rejected.Subinstances)
+		}
+		if float64(rejected.Spans) < rejected.LowerBound {
+			t.Fatalf("p=%d heuristic certificate inverted: spans %d lb %v", p, rejected.Spans, rejected.LowerBound)
+		}
 	}
+}
 
-	admitted := solve(pe)
-	if admitted.PolyFragments != admitted.Subinstances || admitted.HeuristicFragments != 0 {
-		t.Fatalf("budget == estimate: poly=%d heur=%d of %d, want all poly",
-			admitted.PolyFragments, admitted.HeuristicFragments, admitted.Subinstances)
+// TestModeAutoAdmissionMatchesTwoBackendRule: at DefaultStateBudget the
+// single admission estimate must give every fragment the verdict the
+// earlier two-backend rule gave it — exact when the pruning-discounted
+// index-space shape G²·(n+1)·(p+1)³/32 fits the budget, or when the
+// fragment has one effective processor and the single-machine frontier
+// G·(n+1) fits it — so routing every exact fragment to one backend
+// moves no fragment between the exact tier and the heuristic. The
+// fragments come from dense, bursty and feasible random instances with
+// p ∈ {1, 2, 3} and n up to 6500; only estimates are computed.
+func TestModeAutoAdmissionMatchesTwoBackendRule(t *testing.T) {
+	satMul := func(a, b int) int {
+		if a != 0 && b > math.MaxInt/a {
+			return math.MaxInt
+		}
+		return a * b
 	}
-	if float64(admitted.Spans) != admitted.LowerBound {
-		t.Fatalf("poly-solved fragment not certified: spans %d lb %v", admitted.Spans, admitted.LowerBound)
+	budget := DefaultStateBudget
+	twoBackendRule := func(fr sched.Instance) bool {
+		n := len(fr.Jobs)
+		p := min(fr.Procs, n)
+		g := prep.GridSize(fr)
+		shape := g
+		for _, dim := range []int{g, n + 1, p + 1, p + 1, p + 1} {
+			shape = satMul(shape, dim)
+		}
+		return shape/32 <= budget || p == 1 && satMul(g, n+1) <= budget
 	}
-
-	rejected := solve(pe - 1)
-	if rejected.PolyFragments != 0 || rejected.HeuristicFragments != rejected.Subinstances {
-		t.Fatalf("budget == estimate−1: poly=%d heur=%d of %d, want all heuristic",
-			rejected.PolyFragments, rejected.HeuristicFragments, rejected.Subinstances)
-	}
-	if float64(rejected.Spans) < rejected.LowerBound {
-		t.Fatalf("heuristic certificate inverted: spans %d lb %v", rejected.Spans, rejected.LowerBound)
-	}
-
-	// Multi-processor fragments never reach poly, however generous the
-	// budget: Admissible gates on p ≤ 1.
-	multi := NewMultiprocInstance(workload.StressDense(rng, 200, 2).Jobs, 2)
-	sol, err := Solver{Mode: ModeAuto, StateBudget: 1, PolyBudget: math.MaxInt}.Solve(multi)
+	rt, err := Solver{Mode: ModeAuto}.runtime()
 	if err != nil {
-		t.Fatalf("auto(multi-proc): %v", err)
+		t.Fatal(err)
 	}
-	if sol.PolyFragments != 0 || sol.HeuristicFragments != sol.Subinstances {
-		t.Fatalf("multi-proc: poly=%d heur=%d of %d, want all heuristic",
-			sol.PolyFragments, sol.HeuristicFragments, sol.Subinstances)
+	rng := rand.New(rand.NewSource(38))
+	type key struct {
+		p     int
+		exact bool
+	}
+	verdicts := map[key]int{}
+	frags := 0
+	for trial := 0; trial < 300; trial++ {
+		// Half the sizes are uniform, which reaches the single-machine
+		// boundary (a dense p = 1 fragment crosses it near n = 5800),
+		// and half log-uniform, which covers the multiprocessor
+		// boundary (n of a few hundred) and small fragments.
+		p := 1 + trial%3
+		n := 1 + rng.Intn(6500)
+		if trial%2 == 1 {
+			n = 1 + int(math.Exp(rng.Float64()*math.Log(6500)))
+		}
+		var in sched.Instance
+		switch trial / 3 % 3 {
+		case 0:
+			in = workload.StressDense(rng, n, p)
+		case 1:
+			in = workload.Bursty(rng, n, 1+rng.Intn(4), 1+n/(1+rng.Intn(4)), rng.Intn(n/p+1), 1+rng.Intn(40))
+			in.Procs = p
+		default:
+			in = workload.FeasibleOneInterval(rng, n, p, 1+2*n/p+rng.Intn(n+1), 1+rng.Intn(60))
+		}
+		for _, sub := range prep.ForGaps(in).Subs {
+			fr := sub.Instance
+			_, tag := rt.tier(fr)
+			exact := tag&heurTag == 0
+			if want := twoBackendRule(fr); exact != want {
+				t.Fatalf("fragment n=%d p=%d (estimate %d): exact=%v, two-backend rule %v",
+					len(fr.Jobs), fr.Procs, prep.StateEstimate(fr), exact, want)
+			}
+			verdicts[key{min(fr.Procs, len(fr.Jobs)), exact}]++
+			frags++
+		}
+	}
+	if frags < 300 {
+		t.Fatalf("only %d fragments drawn", frags)
+	}
+	// Both verdicts must occur at every processor count, or the
+	// comparison says nothing about the boundary.
+	for p := 1; p <= 3; p++ {
+		if verdicts[key{p, true}] == 0 || verdicts[key{p, false}] == 0 {
+			t.Fatalf("p=%d: verdicts %v, want both exact and heuristic fragments", p, verdicts)
+		}
 	}
 }
 

@@ -9,9 +9,11 @@ package gapsched
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/exact"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -232,6 +234,88 @@ func TestSolverHugeProcs(t *testing.T) {
 		want, _ := base.Solve(Instance{Jobs: jobs, Procs: 2})
 		if base.Objective.Cost(got) != base.Objective.Cost(want) {
 			t.Fatalf("%+v session: cost %v on p=2^40, want %v (p=2)", base, base.Objective.Cost(got), base.Objective.Cost(want))
+		}
+	}
+}
+
+// TestSolverCoordinateBound: an instance outside the coordinate bound
+// sched.MaxCoord — a coordinate beyond ±MaxCoord, or a horizon wider
+// than MaxCoord — is rejected with an error that names the bound, by
+// every mode, with preprocessing on and off, one-shot, in a batch and
+// in a session, instead of overflowing into a spurious "empty window"
+// or infeasibility verdict. Instances at the bound itself solve
+// exactly.
+func TestSolverCoordinateBound(t *testing.T) {
+	outside := []Instance{
+		NewInstance([]Job{{Release: math.MinInt64 + 1, Deadline: math.MaxInt64 - 2}}),
+		NewInstance([]Job{{Release: math.MinInt + 1, Deadline: math.MaxInt - 1}, {Release: math.MinInt + 1, Deadline: math.MinInt + 1}}),
+		NewInstance([]Job{{Release: 0, Deadline: 0}, {Release: sched.MaxCoord + 1, Deadline: sched.MaxCoord + 1}}),
+		NewInstance([]Job{{Release: -sched.MaxCoord - 1, Deadline: 0}}),
+		NewInstance([]Job{{Release: -sched.MaxCoord, Deadline: -sched.MaxCoord}, {Release: 1, Deadline: 1}}),
+	}
+	const want = "coordinate bound"
+	for _, base := range []Solver{{}, {Objective: ObjectivePower, Alpha: 2}} {
+		for _, cfg := range []Solver{
+			{Mode: ModeExact},
+			{Mode: ModeAuto},
+			{Mode: ModeHeuristic},
+			{Mode: ModeExact, NoPreprocess: true},
+			{Mode: ModeAuto, NoPreprocess: true},
+			{Mode: ModeHeuristic, NoPreprocess: true},
+		} {
+			s := base
+			s.Mode, s.NoPreprocess = cfg.Mode, cfg.NoPreprocess
+			for i, in := range outside {
+				if _, err := s.Solve(in); err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("%+v instance %d: err %v, want the coordinate-bound error", s, i, err)
+				}
+			}
+			for i, r := range s.SolveBatch(outside) {
+				if r.Err == nil || !strings.Contains(r.Err.Error(), want) {
+					t.Fatalf("%+v batch element %d: err %v, want the coordinate-bound error", s, i, r.Err)
+				}
+			}
+		}
+		ss, err := base.Open(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ss.Add(outside[0].Jobs[0]); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%+v session add: err %v, want the coordinate-bound error", base, err)
+		}
+		ss.Close()
+	}
+	for i, in := range outside {
+		if Feasible(in) {
+			t.Fatalf("instance %d outside the bound reported feasible", i)
+		}
+	}
+
+	// At the bound: a window MaxCoord wide with point jobs at both of its
+	// ends, once at the negative extreme and once at the positive one;
+	// the wide job fits next to either point job, so 2 spans.
+	for _, lo := range []int{-sched.MaxCoord, 0} {
+		hi := lo + sched.MaxCoord
+		edge := NewInstance([]Job{
+			{Release: lo, Deadline: hi},
+			{Release: lo, Deadline: lo},
+			{Release: hi, Deadline: hi},
+		})
+		if !Feasible(edge) {
+			t.Fatalf("[%d,%d]: instance at the bound reported infeasible", lo, hi)
+		}
+		for _, cfg := range []Solver{{}, {NoPreprocess: true}, {Mode: ModeAuto}, {Mode: ModeHeuristic},
+			{Objective: ObjectivePower, Alpha: 3}} {
+			sol, err := cfg.Solve(edge)
+			if err != nil {
+				t.Fatalf("%+v on [%d,%d]: %v", cfg, lo, hi, err)
+			}
+			if err := sol.Schedule.Validate(edge); err != nil {
+				t.Fatalf("%+v on [%d,%d]: schedule invalid: %v", cfg, lo, hi, err)
+			}
+			if sol.Spans != 2 {
+				t.Fatalf("%+v on [%d,%d]: %d spans, want 2", cfg, lo, hi, sol.Spans)
+			}
 		}
 	}
 }
