@@ -13,6 +13,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -129,13 +130,23 @@ func checkFuzzAgreement(t *testing.T, s Solver, in Instance, cost func(Solution)
 	}
 }
 
+// fuzzSessionBudget is the StateBudget of FuzzSessionDeltas' ModeAuto
+// lanes: it admits only the smallest fragments (a job or two on a short
+// grid) to the exact tier and sends the rest to the heuristic, so exact
+// and heuristic fragments mix within one session — on the first and
+// third seeds, under both objectives.
+const fuzzSessionBudget = 6
+
 // FuzzSessionDeltas decodes bytes as a bounded add/remove delta
 // sequence and replays it through incremental sessions — both
-// objectives, each with and without a shared fragment cache — checking
+// objectives, each with and without a shared fragment cache, plus
+// ModeAuto lanes whose small StateBudget mixes the tiers — checking
 // after every delta that Session.Resolve agrees exactly with a
 // from-scratch Solve of the session's snapshot instance under the
-// same configuration: same feasibility verdict, equal cost, valid
-// schedule, and fragment counters that cover the decomposition.
+// same configuration: same feasibility verdict, every folded field
+// equal (cost, state counters, LowerBound, tier and fragment counts),
+// the same schedule slot for slot, and fragment counters that cover
+// the decomposition.
 func FuzzSessionDeltas(f *testing.F) {
 	f.Add([]byte{2, 1, 1, 0, 2, 1, 5, 1, 0, 0, 0, 1, 9, 3})
 	f.Add([]byte{0, 2, 1, 10, 0, 1, 10, 0, 1, 10, 0, 0, 1, 0})
@@ -150,12 +161,14 @@ func FuzzSessionDeltas(f *testing.F) {
 			cfg  Solver
 			sess *Session
 		}
-		lanes := make([]lane, 0, 4)
+		lanes := make([]lane, 0, 6)
 		for _, cfg := range []Solver{
 			{},
 			{Cache: NewFragmentCache(64)},
 			{Objective: ObjectivePower, Alpha: alpha},
 			{Objective: ObjectivePower, Alpha: alpha, Cache: NewFragmentCache(64)},
+			{Mode: ModeAuto, StateBudget: fuzzSessionBudget},
+			{Objective: ObjectivePower, Alpha: alpha, Mode: ModeAuto, StateBudget: fuzzSessionBudget, Cache: NewFragmentCache(64)},
 		} {
 			sess, err := cfg.Open(procs)
 			if err != nil {
@@ -207,15 +220,26 @@ func FuzzSessionDeltas(f *testing.F) {
 					}
 					continue
 				}
-				cost := func(sol Solution) float64 {
-					if l.cfg.Objective == ObjectivePower {
-						return sol.Power
-					}
-					return float64(sol.Spans)
-				}
+				cost := l.cfg.Objective.Cost
 				if cost(got) != cost(want) {
 					t.Fatalf("session cost %v, scratch %v (jobs %v procs %d alpha %v)",
 						cost(got), cost(want), snapshot.Jobs, procs, alpha)
+				}
+				type folded struct {
+					spans, gaps, states, pruned, expanded, heur, subs int
+					power, lb                                         float64
+					mode                                              Mode
+				}
+				fields := func(sol Solution) folded {
+					return folded{sol.Spans, sol.Gaps, sol.States, sol.PrunedStates, sol.ExpandedStates,
+						sol.HeuristicFragments, sol.Subinstances, sol.Power, sol.LowerBound, sol.Mode}
+				}
+				if fields(got) != fields(want) {
+					t.Fatalf("session %+v, scratch %+v (cfg %+v jobs %v procs %d)",
+						fields(got), fields(want), l.cfg, snapshot.Jobs, procs)
+				}
+				if got.Schedule.Procs != want.Schedule.Procs || !slices.Equal(got.Schedule.Slots, want.Schedule.Slots) {
+					t.Fatalf("session schedule %+v, scratch %+v (jobs %v)", got.Schedule, want.Schedule, snapshot.Jobs)
 				}
 				if err := got.Schedule.Validate(snapshot); err != nil {
 					t.Fatalf("session schedule invalid: %v (jobs %v)", err, snapshot.Jobs)

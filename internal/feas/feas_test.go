@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/exact"
 	"repro/internal/feas"
@@ -248,6 +249,49 @@ func TestLayOutEquivalence(t *testing.T) {
 		mi, _ := sched.LayOut(in)
 		if got, want := feas.FeasibleMulti(mi), feas.FeasibleOneInterval(in); got != want {
 			t.Fatalf("trial %d: laid-out feasibility %v, direct %v", trial, got, want)
+		}
+	}
+}
+
+// TestEDFWideIdleGap: EDF jumps over idle runs instead of scanning them
+// unit by unit, so an idle gap of 2^61 — inside the coordinate bound
+// sched.MaxCoord — costs nothing. A per-unit scan would not return for
+// years; the watchdog turns that hang into a failure.
+func TestEDFWideIdleGap(t *testing.T) {
+	const w = 1 << 61
+	in := sched.Instance{Procs: 1, Jobs: []sched.Job{
+		{Release: w, Deadline: w + 1},
+		{Release: 0, Deadline: 0},
+		{Release: w, Deadline: w},
+	}}
+	if err := in.Validate(); err != nil {
+		t.Fatalf("instance must be valid: %v", err)
+	}
+	type outcome struct {
+		s  sched.Schedule
+		ok bool
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		s, ok := feas.EDFOneInterval(in)
+		done <- outcome{s, ok}
+	}()
+	var got outcome
+	select {
+	case got = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("EDFOneInterval did not return within 10s on a 2^61-wide idle gap")
+	}
+	if !got.ok {
+		t.Fatal("EDF reported a feasible instance infeasible")
+	}
+	if err := got.s.Validate(in); err != nil {
+		t.Fatalf("EDF schedule invalid: %v", err)
+	}
+	want := []sched.Assignment{{Proc: 0, Time: w + 1}, {Proc: 0, Time: 0}, {Proc: 0, Time: w}}
+	for i, a := range got.s.Slots {
+		if a != want[i] {
+			t.Fatalf("slot %d = %+v, want %+v (EDF order by deadline)", i, a, want[i])
 		}
 	}
 }

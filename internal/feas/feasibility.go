@@ -28,7 +28,9 @@ func FeasibleOneInterval(in sched.Instance) bool {
 // returns false if some job misses its deadline — which, by the standard
 // exchange argument, happens only when the instance is infeasible.
 // The schedule produced is "eager": it never idles while work is
-// available, so it is the canonical online/greedy baseline (§1).
+// available, so it is the canonical online/greedy baseline (§1). The
+// scan jumps over idle runs to the next release, so it takes O(n)
+// steps however wide the horizon.
 func EDFOneInterval(in sched.Instance) (sched.Schedule, bool) {
 	n := len(in.Jobs)
 	out := sched.Schedule{Procs: in.Procs, Slots: make([]sched.Assignment, n)}
@@ -43,23 +45,32 @@ func EDFOneInterval(in sched.Instance) (sched.Schedule, bool) {
 		return in.Jobs[order[x]].Release < in.Jobs[order[y]].Release
 	})
 	lo, hi := in.TimeHorizon()
-	// pending is a simple deadline-ordered list; n is small enough in all
-	// our workloads that O(n log n) per step is unnecessary complexity.
+	// pending is a deadline-ordered list, re-sorted only when a release
+	// adds to it; n is small enough in all our workloads that a heap
+	// would be unnecessary complexity.
 	var pending []int
 	next := 0
 	scheduled := 0
 	for t := lo; t <= hi && scheduled < n; t++ {
+		if len(pending) == 0 {
+			// Nothing waits, so every unscheduled job is unreleased: jump
+			// to the next release instead of scanning the idle run.
+			t = max(t, in.Jobs[order[next]].Release)
+		}
+		released := next
 		for next < n && in.Jobs[order[next]].Release <= t {
 			pending = append(pending, order[next])
 			next++
 		}
-		sort.Slice(pending, func(x, y int) bool {
-			a, b := in.Jobs[pending[x]], in.Jobs[pending[y]]
-			if a.Deadline != b.Deadline {
-				return a.Deadline < b.Deadline
-			}
-			return pending[x] < pending[y]
-		})
+		if next > released {
+			sort.Slice(pending, func(x, y int) bool {
+				a, b := in.Jobs[pending[x]], in.Jobs[pending[y]]
+				if a.Deadline != b.Deadline {
+					return a.Deadline < b.Deadline
+				}
+				return pending[x] < pending[y]
+			})
+		}
 		run := len(pending)
 		if run > in.Procs {
 			run = in.Procs

@@ -9,10 +9,10 @@
 // fragment list is identical — same boundaries, same per-fragment job
 // order, same zero-based translation — to what prep.Decompose would
 // produce on the full current job set presented in job-id order. A
-// resolve that solves each dirty fragment and sums per-fragment costs
-// in time order is therefore bit-identical to a from-scratch solve of
-// the current instance; clean fragments keep their stored results and
-// are never re-solved.
+// resolve that solves each dirty fragment and hands back per-fragment
+// results in time order therefore folds to a total bit-identical to a
+// from-scratch solve of the current instance; clean fragments keep
+// their stored results and are never re-solved.
 //
 // Why deltas stay local (both directions follow from Decompose's sweep,
 // whose running coverage end only ever grows within a fragment):
@@ -33,20 +33,24 @@ package incr
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/prep"
 	"repro/internal/sched"
 )
 
-// Result is one fragment's solved outcome, as produced by the solve
-// callback handed to Resolve. Schedule is fragment-local: zero-based
-// times, slots aligned with the fragment's jobs in id order. LB is the
-// fragment's certified lower bound (the optimal cost itself when the
-// fragment was solved exactly) and Heur marks heuristic-tier results;
-// both are stored with the fragment so reuse keeps the session's
-// aggregate certificate and tier accounting exact. Hit reports a
-// fragment-cache hit (informational). Err is typically the engine's
-// infeasibility error.
+// Result is one fragment's solved outcome: what a solving tier
+// produces, what a fragment cache stores, what the solve callback
+// handed to Resolve returns, and what the tracker keeps per fragment.
+// Schedule is fragment-local: zero-based times, slots aligned with the
+// fragment's jobs in the order they were given. LB is the fragment's
+// certified lower bound (the optimal cost itself when the fragment was
+// solved exactly) and Heur marks heuristic-tier results; both are kept
+// with the fragment so reuse keeps an aggregate certificate and tier
+// accounting exact. Hit reports a fragment-cache hit and Dur the
+// wall-clock spent obtaining the result (the backend solve for a miss,
+// the lookup or wait for a hit); both describe one call, not the
+// outcome. Err is typically the engine's infeasibility error.
 type Result struct {
 	Cost     float64
 	Schedule sched.Schedule
@@ -56,6 +60,7 @@ type Result struct {
 	LB       float64
 	Heur     bool
 	Hit      bool
+	Dur      time.Duration
 	Err      error
 }
 
@@ -228,76 +233,45 @@ func (t *Tracker) fragmentInstance(f *fragment) sched.Instance {
 	return sched.Instance{Jobs: jobs, Procs: t.procs}
 }
 
-// Counts reports what one Resolve call did.
-type Counts struct {
-	// Resolved is the number of dirty fragments solved by this call.
-	Resolved int
-	// Reused is the number of clean fragments whose stored result was
-	// used without re-solving.
-	Reused int
-	// CacheHits is the number of resolved fragments the solve callback
-	// reported as served from a fragment cache.
-	CacheHits int
-	// States sums the DP states over all fragments (stored states for
-	// reused fragments), matching the batch facade's accounting.
-	States int
-	// PrunedStates and ExpandedStates sum the fragments'
-	// branch-and-bound counters under the same stored-result convention
-	// as States.
-	PrunedStates   int
-	ExpandedStates int
-	// LowerBound sums the per-fragment certified lower bounds in
-	// fragment time order, matching the one-shot facade's accounting.
-	LowerBound float64
-	// HeuristicFragments counts the fragments whose current stored
-	// result came from the heuristic tier.
-	HeuristicFragments int
-}
-
 // Resolve brings the solution up to date: dirty fragments are solved
-// through the callback in time order, clean fragments keep their
-// stored results, and the per-fragment costs are summed in time order
-// — the same order a from-scratch solve uses, so the total is
-// bit-identical. The assembled schedule covers Instance() (slots in
-// job-id order, absolute times). On the first fragment error (stored
-// or fresh) Resolve stops and returns it, exactly like the sequential
-// from-scratch path; fragments after the failing one stay dirty and
-// are picked up by a later Resolve once the conflict is removed.
-func (t *Tracker) Resolve(solve func(sched.Instance) Result) (cost float64, s sched.Schedule, c Counts, err error) {
+// through the callback in time order and clean fragments keep their
+// stored results. It returns every fragment's result in time order —
+// the order a from-scratch solve sums costs in, so a caller folding
+// them gets a bit-identical total — together with the assembled
+// schedule over Instance() (slots in job-id order, absolute times) and
+// the number of fragments this call solved. Reused results come back
+// with Hit and Dur zeroed: this call did not obtain them. On the first
+// fragment error (stored or fresh) Resolve stops and returns it,
+// exactly like the sequential from-scratch path; fragments after the
+// failing one stay dirty and are picked up by a later Resolve once the
+// conflict is removed.
+func (t *Tracker) Resolve(solve func(sched.Instance) Result) (results []Result, s sched.Schedule, resolved int, err error) {
 	ids := t.IDs()
 	pos := make(map[int]int, len(ids))
 	for i, id := range ids {
 		pos[id] = i
 	}
 	s = sched.Schedule{Procs: t.procs, Slots: make([]sched.Assignment, len(ids))}
-	for _, f := range t.frags {
+	results = make([]Result, len(t.frags))
+	for fi, f := range t.frags {
+		r := f.res
 		if f.dirty {
-			f.res = solve(t.fragmentInstance(f))
-			f.dirty = false
-			c.Resolved++
-			if f.res.Hit {
-				c.CacheHits++
-			}
+			r = solve(t.fragmentInstance(f))
+			f.res, f.dirty = r, false
+			resolved++
 		} else {
-			c.Reused++
+			r.Hit, r.Dur = false, 0
 		}
-		c.States += f.res.States
-		c.PrunedStates += f.res.Pruned
-		c.ExpandedStates += f.res.Expanded
-		c.LowerBound += f.res.LB
-		if f.res.Heur {
-			c.HeuristicFragments++
+		results[fi] = r
+		if r.Err != nil {
+			return nil, sched.Schedule{}, 0, r.Err
 		}
-		if f.res.Err != nil {
-			return 0, sched.Schedule{}, c, f.res.Err
+		if len(r.Schedule.Slots) != len(f.ids) {
+			return nil, sched.Schedule{}, 0, fmt.Errorf("incr: fragment solution has %d slots for %d jobs", len(r.Schedule.Slots), len(f.ids))
 		}
-		if len(f.res.Schedule.Slots) != len(f.ids) {
-			return 0, sched.Schedule{}, c, fmt.Errorf("incr: fragment solution has %d slots for %d jobs", len(f.res.Schedule.Slots), len(f.ids))
-		}
-		cost += f.res.Cost
-		for i, a := range f.res.Schedule.Slots {
+		for i, a := range r.Schedule.Slots {
 			s.Slots[pos[f.ids[i]]] = sched.Assignment{Proc: a.Proc, Time: a.Time + f.start}
 		}
 	}
-	return cost, s, c, nil
+	return results, s, resolved, nil
 }

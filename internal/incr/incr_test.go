@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/prep"
@@ -22,6 +23,20 @@ func powerSolve(alpha float64) func(sched.Instance) Result {
 		res, err := core.SolvePower(fr, alpha)
 		return Result{Cost: res.Power, Schedule: res.Schedule, States: res.States, Err: err}
 	}
+}
+
+// counts is the resolved/reused split of one Resolve call.
+type counts struct{ Resolved, Reused int }
+
+// resolve runs tr.Resolve and sums the returned fragment costs in time
+// order, the way the facade folds them.
+func resolve(tr *Tracker, solve func(sched.Instance) Result) (float64, sched.Schedule, counts, error) {
+	results, s, resolved, err := tr.Resolve(solve)
+	cost := 0.0
+	for _, r := range results {
+		cost += r.Cost
+	}
+	return cost, s, counts{Resolved: resolved, Reused: len(results) - resolved}, err
 }
 
 // checkDecomposition asserts the tracker's fragment list is identical
@@ -109,7 +124,7 @@ func TestTrackerMatchesDecompose(t *testing.T) {
 				checkDecomposition(t, tr, cfg.splitWidth)
 
 				want, wantErr := scratchCost(t, tr, cfg.splitWidth, solve)
-				cost, s, counts, err := tr.Resolve(solve)
+				cost, s, counts, err := resolve(tr, solve)
 				if (wantErr == nil) != (err == nil) {
 					t.Fatalf("Resolve err %v, scratch err %v (jobs %v)", err, wantErr, tr.Instance().Jobs)
 				}
@@ -147,19 +162,19 @@ func TestTrackerDeltaLocality(t *testing.T) {
 	if tr.Fragments() != 3 {
 		t.Fatalf("fragments = %d, want 3", tr.Fragments())
 	}
-	if _, _, c, err := tr.Resolve(gapSolve); err != nil || c.Resolved != 3 || c.Reused != 0 {
+	if _, _, c, err := resolve(tr, gapSolve); err != nil || c.Resolved != 3 || c.Reused != 0 {
 		t.Fatalf("initial resolve: counts %+v err %v, want 3 resolved", c, err)
 	}
 
 	// A job inside the middle cluster dirties only it.
 	mid := tr.Add(sched.Job{Release: 11, Deadline: 12})
-	if _, _, c, err := tr.Resolve(gapSolve); err != nil || c.Resolved != 1 || c.Reused != 2 {
+	if _, _, c, err := resolve(tr, gapSolve); err != nil || c.Resolved != 1 || c.Reused != 2 {
 		t.Fatalf("middle add: counts %+v err %v, want 1 resolved 2 reused", c, err)
 	}
 	if !tr.Remove(mid) {
 		t.Fatal("middle job not removed")
 	}
-	if _, _, c, err := tr.Resolve(gapSolve); err != nil || c.Resolved != 1 || c.Reused != 2 {
+	if _, _, c, err := resolve(tr, gapSolve); err != nil || c.Resolved != 1 || c.Reused != 2 {
 		t.Fatalf("middle remove: counts %+v err %v, want 1 resolved 2 reused", c, err)
 	}
 
@@ -169,7 +184,7 @@ func TestTrackerDeltaLocality(t *testing.T) {
 	if tr.Fragments() != 2 {
 		t.Fatalf("after bridge: fragments = %d, want 2", tr.Fragments())
 	}
-	if _, _, c, err := tr.Resolve(gapSolve); err != nil || c.Resolved != 1 || c.Reused != 1 {
+	if _, _, c, err := resolve(tr, gapSolve); err != nil || c.Resolved != 1 || c.Reused != 1 {
 		t.Fatalf("bridge add: counts %+v err %v, want 1 resolved 1 reused", c, err)
 	}
 
@@ -181,12 +196,12 @@ func TestTrackerDeltaLocality(t *testing.T) {
 	if tr.Fragments() != 3 {
 		t.Fatalf("after unbridge: fragments = %d, want 3", tr.Fragments())
 	}
-	if _, _, c, err := tr.Resolve(gapSolve); err != nil || c.Resolved != 2 || c.Reused != 1 {
+	if _, _, c, err := resolve(tr, gapSolve); err != nil || c.Resolved != 2 || c.Reused != 1 {
 		t.Fatalf("bridge remove: counts %+v err %v, want 2 resolved 1 reused", c, err)
 	}
 
 	// A steady-state resolve re-solves nothing.
-	if _, _, c, err := tr.Resolve(gapSolve); err != nil || c.Resolved != 0 || c.Reused != 3 {
+	if _, _, c, err := resolve(tr, gapSolve); err != nil || c.Resolved != 0 || c.Reused != 3 {
 		t.Fatalf("steady state: counts %+v err %v, want 0 resolved 3 reused", c, err)
 	}
 }
@@ -199,17 +214,17 @@ func TestTrackerInfeasibleAndRecover(t *testing.T) {
 	tr := New(1, 1)
 	tr.Add(sched.Job{Release: 0, Deadline: 1})
 	tr.Add(sched.Job{Release: 10, Deadline: 10})
-	if _, _, _, err := tr.Resolve(gapSolve); err != nil {
+	if _, _, _, err := resolve(tr, gapSolve); err != nil {
 		t.Fatalf("feasible resolve failed: %v", err)
 	}
 	clash := tr.Add(sched.Job{Release: 10, Deadline: 10}) // two point jobs, one slot
-	if _, _, _, err := tr.Resolve(gapSolve); !errors.Is(err, core.ErrInfeasible) {
+	if _, _, _, err := resolve(tr, gapSolve); !errors.Is(err, core.ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 	if !tr.Remove(clash) {
 		t.Fatal("clash not removed")
 	}
-	cost, s, c, err := tr.Resolve(gapSolve)
+	cost, s, c, err := resolve(tr, gapSolve)
 	if err != nil {
 		t.Fatalf("recovery resolve failed: %v", err)
 	}
@@ -231,7 +246,7 @@ func TestTrackerEmptyAndUnknown(t *testing.T) {
 	if tr.Remove(7) {
 		t.Fatal("removed a job that was never added")
 	}
-	cost, s, c, err := tr.Resolve(gapSolve)
+	cost, s, c, err := resolve(tr, gapSolve)
 	if err != nil || cost != 0 || len(s.Slots) != 0 || c.Resolved != 0 {
 		t.Fatalf("empty resolve: cost %v schedule %+v counts %+v err %v", cost, s, c, err)
 	}
@@ -260,7 +275,7 @@ func TestTrackerArrivalOrderedDeltas(t *testing.T) {
 			release += rng.Intn(6) // non-decreasing, sometimes equal
 			tr.Add(sched.Job{Release: release, Deadline: release + rng.Intn(9)})
 			checkDecomposition(t, tr, 1)
-			_, _, c, err := tr.Resolve(gapSolve)
+			_, _, c, err := resolve(tr, gapSolve)
 			if err != nil {
 				if !errors.Is(err, core.ErrInfeasible) {
 					t.Fatalf("Resolve: %v", err)
@@ -272,5 +287,40 @@ func TestTrackerArrivalOrderedDeltas(t *testing.T) {
 					c.Resolved, c.Reused, tr.Fragments(), tr.Instance().Jobs)
 			}
 		}
+	}
+}
+
+// TestTrackerReusedResultsCarryNoCallCost pins what Resolve hands back
+// per fragment: results in time order, the fresh ones exactly as the
+// callback returned them, the reused ones with their stored outcome but
+// Hit and Dur zeroed, because this call did not obtain them.
+func TestTrackerReusedResultsCarryNoCallCost(t *testing.T) {
+	tr := New(1, 1)
+	tr.Add(sched.Job{Release: 0, Deadline: 1})
+	tr.Add(sched.Job{Release: 10, Deadline: 11})
+	stamped := func(fr sched.Instance) Result {
+		r := gapSolve(fr)
+		r.Hit, r.Dur = true, time.Second
+		return r
+	}
+	results, _, resolved, err := tr.Resolve(stamped)
+	if err != nil || resolved != 2 || len(results) != 2 {
+		t.Fatalf("first resolve: %d results, %d resolved, err %v", len(results), resolved, err)
+	}
+	for i, r := range results {
+		if !r.Hit || r.Dur != time.Second || r.Cost != 1 {
+			t.Fatalf("fresh result %d = %+v, want the callback's result", i, r)
+		}
+	}
+	tr.Add(sched.Job{Release: 11, Deadline: 12}) // dirties the second fragment only
+	results, _, resolved, err = tr.Resolve(stamped)
+	if err != nil || resolved != 1 || len(results) != 2 {
+		t.Fatalf("second resolve: %d results, %d resolved, err %v", len(results), resolved, err)
+	}
+	if r := results[0]; r.Hit || r.Dur != 0 || r.Cost != 1 || len(r.Schedule.Slots) != 1 {
+		t.Fatalf("reused result = %+v, want stored outcome with Hit and Dur zeroed", r)
+	}
+	if r := results[1]; !r.Hit || r.Dur != time.Second || len(r.Schedule.Slots) != 2 {
+		t.Fatalf("re-solved result = %+v, want the callback's result", r)
 	}
 }

@@ -349,7 +349,8 @@ func keyFor(req sched.SolveRequest) solveKey {
 	return key
 }
 
-// wireOutcome converts one solve outcome to its wire form.
+// wireOutcome converts one solve outcome to its wire form — the one
+// Solution→wire mapping for one-shot, batch and session responses.
 func wireOutcome(out outcome) sched.SolveResponse {
 	if out.err != nil {
 		return sched.SolveResponse{Err: wireError(out.err)}
@@ -363,6 +364,8 @@ func wireOutcome(out outcome) sched.SolveResponse {
 		States:             sol.States,
 		Subinstances:       sol.Subinstances,
 		CacheHits:          sol.CacheHits,
+		ResolvedFragments:  sol.ResolvedFragments,
+		ReusedFragments:    sol.ReusedFragments,
 		PrunedStates:       sol.PrunedStates,
 		ExpandedStates:     sol.ExpandedStates,
 		Mode:               sol.Mode.String(),

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -160,7 +161,23 @@ func TestSolveUncoalescedMatchesDirect(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	for i, req := range pool {
-		got := decodeSolve(t, postJSON(t, ts.URL+"/v1/solve", req))
+		resp := postJSON(t, ts.URL+"/v1/solve", req)
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The session-only fragment counts are omitempty and zero on a
+		// one-shot solve, so its body never names them.
+		for _, field := range []string{`"resolvedFragments"`, `"reusedFragments"`} {
+			if bytes.Contains(body, []byte(field)) {
+				t.Errorf("request %d: one-shot body carries %s: %s", i, field, body)
+			}
+		}
+		got, err := sched.DecodeSolveResponse(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("request %d: undecodable solve response: %v", i, err)
+		}
 		if got.Err != nil {
 			t.Fatalf("request %d failed: %v", i, got.Err)
 		}

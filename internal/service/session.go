@@ -371,10 +371,7 @@ func (s *Server) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 	if sol.CompetitiveRatio > 0 {
 		s.met.observeOnlineRatio(sol.CompetitiveRatio)
 	}
-	resp := wireOutcome(outcome{sol: sol})
-	resp.ResolvedFragments = sol.ResolvedFragments
-	resp.ReusedFragments = sol.ReusedFragments
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, wireOutcome(outcome{sol: sol}))
 }
 
 // handleSessionDelete serves DELETE /v1/session/{id}.

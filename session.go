@@ -240,9 +240,10 @@ func (ss *Session) Resolve() (Solution, error) {
 
 // ResolveContext is Resolve with observability threading: when ctx
 // carries an obs.Trace, every re-solved fragment records its
-// backend-tagged span into it. Solution.Timings reports only the work
-// this call did — the fragments a delta dirtied — so a no-op Resolve
-// reports zero solve time.
+// backend-tagged span into it. Solution.Timings and CacheHits report
+// only the work this call did — the fragments a delta dirtied — so a
+// no-op Resolve reports zero time and no hit. The Solution is folded
+// exactly as Solve folds one (see fold).
 func (ss *Session) ResolveContext(ctx context.Context) (Solution, error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
@@ -250,54 +251,38 @@ func (ss *Session) ResolveContext(ctx context.Context) (Solution, error) {
 		return Solution{}, ErrSessionClosed
 	}
 	trace := obs.FromContext(ctx)
-	var timings Timings
-	cost, schedule, counts, err := ss.tr.Resolve(func(fr sched.Instance) incr.Result {
-		r := ss.solver.solveFragment(ss.rt, ss.cache, fr, trace)
-		timings.add(r)
-		return incr.Result{Cost: r.cost, Schedule: r.schedule, States: r.states,
-			Pruned: r.pruned, Expanded: r.expanded,
-			LB: r.lb, Heur: r.heur, Hit: r.hit, Err: r.err}
+	results, schedule, resolved, err := ss.tr.Resolve(func(fr sched.Instance) incr.Result {
+		return ss.solver.solveFragment(ss.rt, ss.cache, fr, trace)
 	})
 	if err != nil {
 		return Solution{}, err
 	}
+	sol, cost, err := fold(results, ss.solver.Mode)
+	if err != nil {
+		return Solution{}, err
+	}
+	sol.ResolvedFragments = resolved
+	sol.ReusedFragments = len(results) - resolved
 	if ss.onl != nil {
-		sol, err := ss.resolveOnline(counts)
-		if err != nil {
-			return Solution{}, err
-		}
-		sol.Timings = timings
-		return sol, nil
+		return ss.resolveOnline(sol)
 	}
 	if err := schedule.Validate(ss.tr.Instance()); err != nil {
 		return Solution{}, err
 	}
-	sol := Solution{
-		Timings:            timings,
-		Schedule:           schedule,
-		States:             counts.States,
-		PrunedStates:       counts.PrunedStates,
-		ExpandedStates:     counts.ExpandedStates,
-		Subinstances:       ss.tr.Fragments(),
-		CacheHits:          counts.CacheHits,
-		ResolvedFragments:  counts.Resolved,
-		ReusedFragments:    counts.Reused,
-		Mode:               ss.solver.Mode,
-		LowerBound:         counts.LowerBound,
-		HeuristicFragments: counts.HeuristicFragments,
-	}
+	sol.Schedule = schedule
 	ss.rt.finish(&sol, cost)
 	return sol, nil
 }
 
 // resolveOnline finishes an online Resolve, with the lock held and the
-// offline mirror freshly resolved (counts). The returned Solution
-// carries the online run's schedule — the committed prefix extended by
-// a projected run-out over the revealed jobs — its cost, and the
-// measured competitive ratio against the mirror's certified
-// LowerBound: onlineCost ≥ OPT ≥ LowerBound, so the ratio is ≥ 1 and
-// never understated.
-func (ss *Session) resolveOnline(counts incr.Counts) (Solution, error) {
+// offline mirror freshly resolved and folded into sol (its Mode is
+// ModeAuto, the mirror's tier). The returned Solution carries the
+// online run's schedule — the committed prefix extended by a projected
+// run-out over the revealed jobs — its cost, and the measured
+// competitive ratio against the mirror's certified LowerBound:
+// onlineCost ≥ OPT ≥ LowerBound, so the ratio is ≥ 1 and never
+// understated.
+func (ss *Session) resolveOnline(sol Solution) (Solution, error) {
 	proj, err := ss.onl.Project()
 	if err != nil {
 		// By EDF's feasibility-optimality this happens only when the
@@ -309,25 +294,13 @@ func (ss *Session) resolveOnline(counts incr.Counts) (Solution, error) {
 		return Solution{}, err
 	}
 	acct := ss.onl.Accounting()
-	sol := Solution{
-		Schedule:           proj.Schedule,
-		States:             counts.States,
-		PrunedStates:       counts.PrunedStates,
-		ExpandedStates:     counts.ExpandedStates,
-		Subinstances:       ss.tr.Fragments(),
-		CacheHits:          counts.CacheHits,
-		ResolvedFragments:  counts.Resolved,
-		ReusedFragments:    counts.Reused,
-		Mode:               ModeAuto, // the mirror's tier
-		LowerBound:         counts.LowerBound,
-		HeuristicFragments: counts.HeuristicFragments,
-		CommittedJobs:      acct.Committed,
-		CommittedCost:      acct.Cost,
-		CompetitiveRatio:   1,
-	}
+	sol.Schedule = proj.Schedule
+	sol.CommittedJobs = acct.Committed
+	sol.CommittedCost = acct.Cost
+	sol.CompetitiveRatio = 1
 	ss.rt.finish(&sol, proj.Cost)
-	if counts.LowerBound > 0 {
-		sol.CompetitiveRatio = proj.Cost / counts.LowerBound
+	if sol.LowerBound > 0 {
+		sol.CompetitiveRatio = proj.Cost / sol.LowerBound
 	}
 	return sol, nil
 }

@@ -178,6 +178,59 @@ func TestSessionSharedCacheAcrossSessions(t *testing.T) {
 	}
 }
 
+// TestSessionResolveReportsOnlyThisCall pins the per-call accounting of
+// Session.Resolve: Timings and CacheHits describe the fragments this
+// call obtained, never the stored results it reused. A no-op Resolve
+// reports zero Timings and no hit; a resolve whose one dirty fragment
+// is served from the cache counts exactly that hit, with its time in
+// Timings.Cache; and a later resolve that reuses that fragment does not
+// count the hit again.
+func TestSessionResolveReportsOnlyThisCall(t *testing.T) {
+	sess, err := Solver{Cache: NewFragmentCache(1 << 10)}.Open(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	add := func(jobs ...Job) {
+		t.Helper()
+		for _, j := range jobs {
+			if _, err := sess.Add(j); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	resolve := func(what string, resolved, reused, hits int) Solution {
+		t.Helper()
+		sol, err := sess.Resolve()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if sol.ResolvedFragments != resolved || sol.ReusedFragments != reused || sol.CacheHits != hits {
+			t.Fatalf("%s: resolved %d reused %d hits %d, want %d/%d/%d",
+				what, sol.ResolvedFragments, sol.ReusedFragments, sol.CacheHits, resolved, reused, hits)
+		}
+		return sol
+	}
+
+	add(Job{Release: 0, Deadline: 2}, Job{Release: 1, Deadline: 3}, Job{Release: 20, Deadline: 20})
+	resolve("cold", 2, 0, 0)
+	if sol := resolve("no-op", 0, 2, 0); sol.Timings != (Timings{}) {
+		t.Fatalf("no-op resolve reported timings %+v, want zero", sol.Timings)
+	}
+
+	// A copy of the first cluster elsewhere is a new dirty fragment
+	// whose canonical form is already cached.
+	add(Job{Release: 40, Deadline: 42}, Job{Release: 41, Deadline: 43})
+	if sol := resolve("cached dirty fragment", 1, 2, 1); sol.Timings.Solve() != 0 {
+		t.Fatalf("cache hit reported backend time %+v", sol.Timings)
+	}
+
+	// Dirtying another fragment with a new shape misses; the fragment
+	// stored from the hit is reused and no longer counts.
+	add(Job{Release: 21, Deadline: 21})
+	resolve("miss beside a reused hit", 1, 2, 0)
+}
+
 // TestSessionErrors covers the error surface: invalid configuration,
 // invalid jobs, unknown removals, and use after Close.
 func TestSessionErrors(t *testing.T) {

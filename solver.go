@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fragcache"
 	"repro/internal/heur"
+	"repro/internal/incr"
 	"repro/internal/obs"
 	"repro/internal/prep"
 	"repro/internal/sched"
@@ -263,15 +264,15 @@ func (t Timings) Total() time.Duration {
 }
 
 // add folds one fragment's outcome into the breakdown.
-func (t *Timings) add(r fragResult) {
-	if r.hit {
-		t.Cache += r.dur
+func (t *Timings) add(r incr.Result) {
+	if r.Hit {
+		t.Cache += r.Dur
 		return
 	}
-	if r.heur {
-		t.SolveHeur += r.dur
+	if r.Heur {
+		t.SolveHeur += r.Dur
 	} else {
-		t.SolveDP += r.dur
+		t.SolveDP += r.Dur
 	}
 }
 
@@ -281,15 +282,18 @@ func (t *Timings) add(r fragResult) {
 // concurrent use and may be shared across Solvers and batches; entries
 // are keyed by the fragment's canonical form plus objective and alpha
 // (see internal/prep.CanonicalKey), so a hit is always an exact match.
+// A value is the canonical fragment's incr.Result, schedule in
+// canonical job order; infeasible outcomes are cached too, so repeated
+// infeasible duplicates are not re-solved.
 type FragmentCache struct {
-	c *fragcache.Cache[fragSolution]
+	c *fragcache.Cache[incr.Result]
 }
 
 // NewFragmentCache builds a fragment cache holding at most about
 // capacity fragment solutions (the bound is enforced per shard, so it
 // is approximate; see internal/fragcache).
 func NewFragmentCache(capacity int) *FragmentCache {
-	return &FragmentCache{c: fragcache.New[fragSolution](capacity)}
+	return &FragmentCache{c: fragcache.New[incr.Result](capacity)}
 }
 
 // CacheStats snapshots a FragmentCache's effectiveness counters.
@@ -301,23 +305,6 @@ func (fc *FragmentCache) Stats() CacheStats { return fc.c.Stats() }
 
 // Len returns the number of fragment solutions currently stored.
 func (fc *FragmentCache) Len() int { return fc.c.Len() }
-
-// fragSolution is one cached canonical-fragment outcome. The schedule
-// is in canonical job order; err is typically ErrInfeasible (infeasible
-// fragments are cached too, so repeated infeasible duplicates do not
-// re-run the feasibility machinery). lb is the fragment's certified
-// lower bound — the optimal cost itself when the fragment was solved
-// exactly, the internal/heur certificate when heur is set.
-type fragSolution struct {
-	cost     float64
-	schedule sched.Schedule
-	states   int
-	pruned   int
-	expanded int
-	lb       float64
-	heur     bool
-	err      error
-}
 
 // heurTag marks heuristic-tier entries in the cache key's tag byte, so
 // the tiers can never serve each other's solutions even when Solvers
@@ -336,8 +323,8 @@ type objectiveRuntime struct {
 	mode       Mode
 	budget     int // resolved ModeAuto exact-tier admission bound
 	plan       func(sched.Instance) *prep.Plan
-	solveExact func(sched.Instance) fragSolution
-	solveHeur  func(sched.Instance) fragSolution
+	solveExact func(sched.Instance) incr.Result
+	solveHeur  func(sched.Instance) incr.Result
 	finish     func(*Solution, float64)
 }
 
@@ -349,7 +336,7 @@ type objectiveRuntime struct {
 // heuristic (auto with a negative budget ≡ heuristic). The estimate
 // depends only on the job multiset and processor count, so the
 // decision is identical for a fragment and its canonical form.
-func (rt *objectiveRuntime) tier(fr sched.Instance) (func(sched.Instance) fragSolution, byte) {
+func (rt *objectiveRuntime) tier(fr sched.Instance) (func(sched.Instance) incr.Result, byte) {
 	if rt.mode == ModeHeuristic || rt.mode == ModeAuto && prep.StateEstimate(fr) > rt.budget {
 		return rt.solveHeur, rt.tag | heurTag
 	}
@@ -388,16 +375,16 @@ func (s Solver) runtime() (objectiveRuntime, error) {
 			mode:   s.Mode,
 			budget: budget,
 			plan:   prep.ForGaps,
-			solveExact: func(fr sched.Instance) fragSolution {
+			solveExact: func(fr sched.Instance) incr.Result {
 				res, err := core.SolveGaps(fr)
-				return fragSolution{cost: float64(res.Spans), schedule: res.Schedule,
-					states: res.States, pruned: res.PrunedStates, expanded: res.ExpandedStates,
-					lb: float64(res.Spans), err: err}
+				return incr.Result{Cost: float64(res.Spans), Schedule: res.Schedule,
+					States: res.States, Pruned: res.PrunedStates, Expanded: res.ExpandedStates,
+					LB: float64(res.Spans), Err: err}
 			},
-			solveHeur: func(fr sched.Instance) fragSolution {
+			solveHeur: func(fr sched.Instance) incr.Result {
 				res, err := heur.SolveGapsFragment(fr)
-				return fragSolution{cost: res.Cost, schedule: res.Schedule,
-					lb: res.LowerBound, heur: true, err: heurErr(err)}
+				return incr.Result{Cost: res.Cost, Schedule: res.Schedule,
+					LB: res.LowerBound, Heur: true, Err: heurErr(err)}
 			},
 			finish: func(sol *Solution, cost float64) {
 				sol.Spans = int(cost)
@@ -412,16 +399,16 @@ func (s Solver) runtime() (objectiveRuntime, error) {
 			mode:   s.Mode,
 			budget: budget,
 			plan:   func(in sched.Instance) *prep.Plan { return prep.ForPower(in, alpha) },
-			solveExact: func(fr sched.Instance) fragSolution {
+			solveExact: func(fr sched.Instance) incr.Result {
 				res, err := core.SolvePower(fr, alpha)
-				return fragSolution{cost: res.Power, schedule: res.Schedule,
-					states: res.States, pruned: res.PrunedStates, expanded: res.ExpandedStates,
-					lb: res.Power, err: err}
+				return incr.Result{Cost: res.Power, Schedule: res.Schedule,
+					States: res.States, Pruned: res.PrunedStates, Expanded: res.ExpandedStates,
+					LB: res.Power, Err: err}
 			},
-			solveHeur: func(fr sched.Instance) fragSolution {
+			solveHeur: func(fr sched.Instance) incr.Result {
 				res, err := heur.SolvePowerFragment(fr, alpha)
-				return fragSolution{cost: res.Cost, schedule: res.Schedule,
-					lb: res.LowerBound, heur: true, err: heurErr(err)}
+				return incr.Result{Cost: res.Cost, Schedule: res.Schedule,
+					LB: res.LowerBound, Heur: true, Err: heurErr(err)}
 			},
 			finish: func(sol *Solution, cost float64) {
 				sol.Power = cost
@@ -433,47 +420,6 @@ func (s Solver) runtime() (objectiveRuntime, error) {
 	return objectiveRuntime{}, fmt.Errorf("gapsched: unknown objective %v", s.Objective)
 }
 
-// fragResult is the outcome of solving one fragment, in the fragment's
-// own job order. dur is the wall-clock this call spent obtaining the
-// result — the backend solve for a miss, the lookup (and possible
-// singleflight wait) for a cache hit.
-type fragResult struct {
-	cost     float64
-	schedule sched.Schedule
-	states   int
-	pruned   int
-	expanded int
-	lb       float64
-	heur     bool
-	hit      bool
-	dur      time.Duration
-	err      error
-}
-
-// backendName names the tier that produced a result, matching the
-// obs span tags and the daemon's per-backend metric labels.
-func (r fragResult) backendName() string {
-	if r.heur {
-		return "heuristic"
-	}
-	return "dp"
-}
-
-// record stamps the fragment's duration and, when a trace is attached,
-// its span: cache hits become StageCache spans, real solves become
-// backend-tagged StageSolve spans.
-func (r *fragResult) record(tr *obs.Trace, start time.Time) {
-	r.dur = time.Since(start)
-	if tr == nil {
-		return
-	}
-	name := obs.StageSolve
-	if r.hit {
-		name = obs.StageCache
-	}
-	tr.Span(name, r.backendName(), start, r.dur)
-}
-
 // preparedInstance is one instance after the prep phase: its fragments
 // ready to solve (each independently) and slots for their results. For
 // NoPreprocess the whole raw instance is the single "fragment".
@@ -483,7 +429,7 @@ type preparedInstance struct {
 	frags   []sched.Instance
 	err     error // validation error; no fragments when set
 	prepDur time.Duration
-	results []fragResult
+	results []incr.Result
 	// failed is set once any fragment errors, so batch workers skip the
 	// instance's remaining fragments instead of solving results that
 	// finishInstance will discard. Skipping cannot change which error
@@ -519,7 +465,7 @@ func (s Solver) prepare(in Instance, rt objectiveRuntime, tr *obs.Trace) *prepar
 			p.frags[i] = sub.Instance
 		}
 	}
-	p.results = make([]fragResult, len(p.frags))
+	p.results = make([]incr.Result, len(p.frags))
 	return p
 }
 
@@ -531,80 +477,99 @@ func (s Solver) prepare(in Instance, rt objectiveRuntime, tr *obs.Trace) *prepar
 // schedule of the fragment as given; each tier's entries carry a
 // distinct key tag, so tiers never serve each other's solutions.
 // Every call is timed: the elapsed wall-clock lands in the result's
-// dur and, when tr is non-nil, in a per-fragment span — a
+// Dur and, when tr is non-nil, in a per-fragment span — a
 // backend-tagged StageSolve span for a real solve, a StageCache span
 // for a hit (singleflight waits on another worker's solve included).
-func (s Solver) solveFragment(rt objectiveRuntime, cache *FragmentCache, fr sched.Instance, tr *obs.Trace) fragResult {
+func (s Solver) solveFragment(rt objectiveRuntime, cache *FragmentCache, fr sched.Instance, tr *obs.Trace) incr.Result {
 	start := time.Now()
 	solve, tag := rt.tier(fr)
+	var res incr.Result
 	if cache == nil {
-		val := solve(fr)
-		res := fragResult{cost: val.cost, schedule: val.schedule, states: val.states,
-			pruned: val.pruned, expanded: val.expanded,
-			lb: val.lb, heur: val.heur, err: val.err}
-		res.record(tr, start)
-		return res
-	}
-	canon, perm := prep.Canonicalize(fr)
-	key := prep.CanonicalKey(canon, tag, rt.alpha)
-	val, hit := cache.c.Do(key, func() fragSolution { return solve(canon) })
-	res := fragResult{cost: val.cost, states: val.states,
-		pruned: val.pruned, expanded: val.expanded,
-		lb: val.lb, heur: val.heur, hit: hit, err: val.err}
-	if val.err == nil {
-		// Canonical job i is fragment job perm[i]; their windows agree,
-		// so rerouting the slots yields a valid fragment schedule. The
-		// cached slice is shared and read-only; build a fresh one.
-		slots := make([]sched.Assignment, len(val.schedule.Slots))
-		for i, a := range val.schedule.Slots {
-			slots[perm[i]] = a
+		res = solve(fr)
+	} else {
+		canon, perm := prep.Canonicalize(fr)
+		key := prep.CanonicalKey(canon, tag, rt.alpha)
+		val, hit := cache.c.Do(key, func() incr.Result { return solve(canon) })
+		res = val
+		res.Hit = hit
+		if val.Err == nil {
+			// Canonical job i is fragment job perm[i]; their windows
+			// agree, so rerouting the slots yields a valid fragment
+			// schedule. The cached slice is shared and read-only; build a
+			// fresh one.
+			slots := make([]sched.Assignment, len(val.Schedule.Slots))
+			for i, a := range val.Schedule.Slots {
+				slots[perm[i]] = a
+			}
+			res.Schedule = sched.Schedule{Procs: val.Schedule.Procs, Slots: slots}
 		}
-		res.schedule = sched.Schedule{Procs: val.schedule.Procs, Slots: slots}
 	}
-	res.record(tr, start)
+	res.Dur = time.Since(start)
+	if tr != nil {
+		name, backend := obs.StageSolve, "dp"
+		if res.Hit {
+			name = obs.StageCache
+		}
+		if res.Heur {
+			backend = "heuristic"
+		}
+		tr.Span(name, backend, start, res.Dur)
+	}
 	return res
 }
 
-// finishInstance folds per-fragment results (all of which must be
-// populated unless a fragment errored, after which siblings may be
-// zero-value placeholders) into one Solution: costs and
-// states accumulate in fragment order — fixed summation order keeps
-// float results bit-identical no matter which workers solved what —
-// and the fragment schedules are reassembled onto the original
-// instance. The first error in fragment order wins, matching a
-// sequential solve exactly. The reassembly is timed into
-// Timings.Assemble (and a StageAssemble span when tr is non-nil);
-// per-fragment durations accumulate into the stage the fragment used.
+// fold folds fragment results, in fragment order, into the Solution of
+// the instance they partition: Subinstances and Mode set, and cost,
+// LowerBound, the state counters, HeuristicFragments, CacheHits and
+// Timings summed — the fixed summation order keeps float results
+// bit-identical no matter which workers solved what or which fragments
+// a session reused. It returns the summed cost, for
+// objectiveRuntime.finish once the caller has set the schedule, and
+// the first error in fragment order, matching a sequential solve
+// exactly.
+func fold(results []incr.Result, mode Mode) (sol Solution, cost float64, err error) {
+	sol = Solution{Subinstances: len(results), Mode: mode}
+	for _, r := range results {
+		if r.Err != nil {
+			return Solution{}, 0, r.Err
+		}
+		cost += r.Cost
+		sol.LowerBound += r.LB
+		sol.States += r.States
+		sol.PrunedStates += r.Pruned
+		sol.ExpandedStates += r.Expanded
+		if r.Heur {
+			sol.HeuristicFragments++
+		}
+		if r.Hit {
+			sol.CacheHits++
+		}
+		sol.Timings.add(r)
+	}
+	return sol, cost, nil
+}
+
+// finishInstance folds an instance's fragment results (all populated
+// unless a fragment errored, after which siblings may be zero-value
+// placeholders) into its Solution and reassembles the fragment
+// schedules onto the original instance. The reassembly is timed into
+// Timings.Assemble (and a StageAssemble span when tr is non-nil).
 func (s Solver) finishInstance(p *preparedInstance, rt objectiveRuntime, tr *obs.Trace) (Solution, error) {
 	if p.err != nil {
 		return Solution{}, p.err
 	}
-	sol := Solution{Subinstances: len(p.frags), Mode: s.Mode}
-	sol.Timings.Prep = p.prepDur
-	parts := make([]sched.Schedule, len(p.frags))
-	cost := 0.0
-	for i := range p.results {
-		r := &p.results[i]
-		if r.err != nil {
-			return Solution{}, r.err
-		}
-		cost += r.cost
-		sol.LowerBound += r.lb
-		sol.States += r.states
-		sol.PrunedStates += r.pruned
-		sol.ExpandedStates += r.expanded
-		if r.heur {
-			sol.HeuristicFragments++
-		}
-		if r.hit {
-			sol.CacheHits++
-		}
-		sol.Timings.add(*r)
-		parts[i] = r.schedule
+	sol, cost, err := fold(p.results, s.Mode)
+	if err != nil {
+		return Solution{}, err
 	}
+	sol.Timings.Prep = p.prepDur
 	if p.plan == nil {
-		sol.Schedule = parts[0]
+		sol.Schedule = p.results[0].Schedule
 	} else {
+		parts := make([]sched.Schedule, len(p.results))
+		for i, r := range p.results {
+			parts[i] = r.Schedule
+		}
 		start := time.Now()
 		schedule, err := p.plan.Assemble(parts)
 		if err == nil {
@@ -658,7 +623,7 @@ func (s Solver) solveOne(ctx context.Context, in Instance, rt objectiveRuntime, 
 			return Solution{}, ctxErr(ctx)
 		}
 		p.results[i] = s.solveFragment(rt, cache, fr, tr)
-		if p.results[i].err != nil {
+		if p.results[i].Err != nil {
 			break // finishInstance reports the first error in order
 		}
 	}
@@ -770,14 +735,14 @@ func (s Solver) SolveBatchContext(ctx context.Context, ins []Instance) []BatchRe
 				tk := queue[qi]
 				p := prepped[tk.inst]
 				if !p.failed.Load() {
-					var res fragResult
+					var res incr.Result
 					if ctx.Err() != nil {
-						res = fragResult{err: ctxErr(ctx)}
+						res = incr.Result{Err: ctxErr(ctx)}
 					} else {
 						res = s.solveFragment(rt, cache, p.frags[tk.frag], tr)
 					}
 					p.results[tk.frag] = res
-					if res.err != nil {
+					if res.Err != nil {
 						p.failed.Store(true)
 					}
 				}
