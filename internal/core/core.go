@@ -27,7 +27,7 @@
 //     Prop 2.1 extended to profiles, and to the power objective via
 //     concavity of gap-bridging costs in the shift), some optimal
 //     solution only executes jobs at times within distance n of a
-//     release or a deadline, an O(n²)-size grid.
+//     release or a deadline, an O(n²)-size grid (prep.AnchorGrid).
 //
 // Every boundary u (the span-start/active-unit charge between times u−1
 // and u) is owned by exactly one node of the recursion tree: a node
@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/prep"
 	"repro/internal/sched"
 )
 
@@ -50,10 +51,11 @@ var ErrInfeasible = errors.New("core: instance is infeasible")
 
 // base holds the instance view shared by every engine instantiation.
 type base struct {
-	jobs []sched.Job
-	p    int
-	byDL []int // all job indices in (deadline, release, index) order
-	grid []int // candidate execution times, sorted ascending
+	jobs  []sched.Job
+	p     int
+	byDL  []int // all job indices in (deadline, release, index) order
+	relDL []int // relDL[x] is the release of job byDL[x]
+	grid  []int // candidate execution times, sorted ascending
 
 	lists map[[2]int][]int // (t1,t2) → R(t1,t2) in deadline order
 }
@@ -63,6 +65,7 @@ func newBase(in sched.Instance) *base {
 		jobs:  in.Jobs,
 		p:     in.Procs,
 		byDL:  in.SortedByDeadline(),
+		grid:  prep.AnchorGrid(in),
 		lists: make(map[[2]int][]int),
 	}
 	// No schedule ever occupies more than n processors at once, and no
@@ -72,44 +75,31 @@ func newBase(in sched.Instance) *base {
 	if b.p > len(in.Jobs) {
 		b.p = len(in.Jobs)
 	}
-	n := len(in.Jobs)
-	lo, hi := in.TimeHorizon()
-	gridSet := make(map[int]struct{})
-	add := func(center int) {
-		from, to := center-n, center+n
-		if from < lo {
-			from = lo
-		}
-		if to > hi {
-			to = hi
-		}
-		for t := from; t <= to; t++ {
-			gridSet[t] = struct{}{}
-		}
+	b.relDL = make([]int, len(b.byDL))
+	for x, j := range b.byDL {
+		b.relDL[x] = in.Jobs[j].Release
 	}
-	for _, j := range in.Jobs {
-		add(j.Release)
-		add(j.Deadline)
-	}
-	b.grid = make([]int, 0, len(gridSet))
-	for t := range gridSet {
-		b.grid = append(b.grid, t)
-	}
-	sort.Ints(b.grid)
 	return b
 }
 
 // list returns the deadline-ordered global job indices released in
-// [t1, t2], cached per interval.
+// [t1, t2], cached per interval. A miss scans the contiguous relDL
+// twice, counting first, so the list is allocated at its exact size.
 func (b *base) list(t1, t2 int) []int {
 	key := [2]int{t1, t2}
 	if l, ok := b.lists[key]; ok {
 		return l
 	}
-	l := []int{}
-	for _, j := range b.byDL {
-		if a := b.jobs[j].Release; t1 <= a && a <= t2 {
-			l = append(l, j)
+	cnt := 0
+	for _, a := range b.relDL {
+		if t1 <= a && a <= t2 {
+			cnt++
+		}
+	}
+	l := make([]int, 0, cnt)
+	for x, a := range b.relDL {
+		if t1 <= a && a <= t2 {
+			l = append(l, b.byDL[x])
 		}
 	}
 	b.lists[key] = l

@@ -9,6 +9,14 @@ package core
 // front still buys single-word hashing and comparison instead of the
 // struct hashing a map[state] key pays per lookup.
 //
+// A key's home slot is the top bits of its Fibonacci product, not the
+// low ones. The low b bits of key·C depend only on key mod 2^b, and the
+// encoding's strides are products of the instance dimensions: when one
+// of them carries a large power of two (G+1 = 1024 on a dense n = 1000
+// single-machine fragment, or n+1 = 1024), keys that differ only in the
+// outer fields share their low bits and pile into one linear-probe run
+// hundreds of slots long. The top bits mix every bit of the key.
+//
 // For pathologically large instances whose index space would overflow
 // int64, the table degrades to a hash map keyed by the node itself.
 type memoTable struct {
@@ -18,6 +26,7 @@ type memoTable struct {
 
 	slots  []slot         // open addressing, power-of-two length
 	mask   uint64         // len(slots) − 1
+	shift  uint           // 64 − log2(len(slots)): home keeps the top bits
 	sparse map[node]entry // fallback when the index space overflows
 	size   int            // number of memoized entries
 }
@@ -32,7 +41,8 @@ type slot struct {
 const (
 	// initialSlots is small: most solves memoize a few hundred states,
 	// and the table doubles as needed.
-	initialSlots = 1 << 10
+	initialBits  = 10
+	initialSlots = 1 << initialBits
 
 	// maxIndexSpace guards the dense encoding against int64 overflow.
 	maxIndexSpace = int64(1) << 62
@@ -53,6 +63,7 @@ func newMemoTable(g, n, p int) *memoTable {
 	}
 	m.slots = make([]slot, initialSlots)
 	m.mask = uint64(len(m.slots)) - 1
+	m.shift = 64 - initialBits
 	return m
 }
 
@@ -63,9 +74,11 @@ func (m *memoTable) index(nd node) int64 {
 		int64(nd.l1))*m.d3+int64(nd.l2))*m.d3 + int64(nd.c2)
 }
 
-// hash spreads the dense index across the table (Fibonacci hashing).
-func hash(key int64) uint64 {
-	return uint64(key) * 0x9E3779B97F4A7C15
+// home is key's first probe slot: Fibonacci hashing, keeping the top
+// log2(len(slots)) bits of the product (see the type comment for why
+// not the low ones).
+func (m *memoTable) home(key int64) uint64 {
+	return uint64(key) * 0x9E3779B97F4A7C15 >> m.shift
 }
 
 func (m *memoTable) get(nd node) (entry, bool) {
@@ -74,7 +87,7 @@ func (m *memoTable) get(nd node) (entry, bool) {
 		return e, ok
 	}
 	key := m.index(nd) + 1
-	for i := hash(key) & m.mask; ; i = (i + 1) & m.mask {
+	for i := m.home(key); ; i = (i + 1) & m.mask {
 		s := &m.slots[i]
 		if s.key == key {
 			return s.e, true
@@ -103,7 +116,7 @@ func (m *memoTable) put(nd node, e entry) {
 		m.grow()
 	}
 	key := m.index(nd) + 1
-	for i := hash(key) & m.mask; ; i = (i + 1) & m.mask {
+	for i := m.home(key); ; i = (i + 1) & m.mask {
 		s := &m.slots[i]
 		if s.key == key {
 			s.e = mergeEntry(s.e, e)
@@ -132,7 +145,7 @@ func mergeEntry(old, new entry) entry {
 }
 
 func (m *memoTable) insert(key int64, e entry) {
-	for i := hash(key) & m.mask; ; i = (i + 1) & m.mask {
+	for i := m.home(key); ; i = (i + 1) & m.mask {
 		s := &m.slots[i]
 		if s.key == 0 {
 			s.key = key
@@ -146,6 +159,7 @@ func (m *memoTable) grow() {
 	old := m.slots
 	m.slots = make([]slot, 2*len(old))
 	m.mask = uint64(len(m.slots) - 1)
+	m.shift--
 	for _, s := range old {
 		if s.key != 0 {
 			m.insert(s.key, s.e)

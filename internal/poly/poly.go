@@ -36,6 +36,7 @@ import (
 	"sort"
 
 	"repro/internal/heur"
+	"repro/internal/prep"
 	"repro/internal/sched"
 )
 
@@ -347,28 +348,12 @@ func newEngine[M model](in sched.Instance, m M) *engine[M] {
 		jobs:  in.Jobs,
 		byDL:  in.SortedByDeadline(),
 		model: m,
+		// The candidate grid is the one core builds: the anchor grid of
+		// Baptiste's Prop 2.1.
+		grid:  prep.AnchorGrid(in),
 		lists: make(map[[2]int][]int),
 		memo:  make(map[pnode]pentry),
 	}
-	// The candidate grid is the one core builds (Baptiste's Prop 2.1):
-	// the union of the ±n neighbourhoods of releases and deadlines,
-	// clipped to the horizon.
-	lo, hi := in.TimeHorizon()
-	gridSet := make(map[int]struct{})
-	for _, j := range in.Jobs {
-		for _, center := range [2]int{j.Release, j.Deadline} {
-			from, to := max(center-n, lo), min(center+n, hi)
-			for t := from; t <= to; t++ {
-				gridSet[t] = struct{}{}
-			}
-		}
-	}
-	e.grid = make([]int, 0, len(gridSet))
-	for t := range gridSet {
-		e.grid = append(e.grid, t)
-	}
-	sort.Ints(e.grid)
-
 	g := len(e.grid)
 	e.t1val = make([]int, g+1)
 	e.t2val = make([]int, g+1)

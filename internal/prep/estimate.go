@@ -6,7 +6,6 @@ package prep
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/sched"
 )
@@ -21,11 +20,10 @@ const pruneDiscount = 32
 
 // StateEstimate returns ModeAuto's deterministic a-priori admission
 // price of the exact DP on one instance (typically a fragment after
-// Decompose). G is the size of the candidate execution grid (GridSize:
-// the union of the ±n neighbourhoods of releases and deadlines,
-// clipped to the horizon — exactly the grid internal/core builds) and
-// p is the effective processor count, capped at n like the engine caps
-// it:
+// Decompose). G is the size of the candidate execution grid, GridSize:
+// the anchor grid internal/core expands through AnchorGrid, so the
+// price and the engine share one builder. p is the
+// effective processor count, capped at n like the engine caps it:
 //
 //   - p ≤ 1: G·(n+1), the single-machine frontier. At one processor
 //     every level dimension of the recursion collapses to a bit, and
@@ -59,46 +57,6 @@ func StateEstimate(in sched.Instance) int {
 		return est
 	}
 	return est / pruneDiscount
-}
-
-// GridSize computes the size of the exact backends' candidate
-// execution grid without materialising it: the measure of the union of
-// the clipped anchor neighbourhoods [a−n, a+n] over all releases and
-// deadlines a — exactly the grid internal/core and internal/poly
-// build.
-func GridSize(in sched.Instance) int {
-	n := len(in.Jobs)
-	lo, hi := in.TimeHorizon()
-	type iv struct{ lo, hi int }
-	ivs := make([]iv, 0, 2*n)
-	add := func(center int) {
-		from, to := center-n, center+n
-		if from < lo {
-			from = lo
-		}
-		if to > hi {
-			to = hi
-		}
-		if from <= to {
-			ivs = append(ivs, iv{from, to})
-		}
-	}
-	for _, j := range in.Jobs {
-		add(j.Release)
-		add(j.Deadline)
-	}
-	sort.Slice(ivs, func(x, y int) bool { return ivs[x].lo < ivs[y].lo })
-	size, end := 0, math.MinInt
-	for _, v := range ivs {
-		if v.lo > end {
-			size += v.hi - v.lo + 1
-			end = v.hi
-		} else if v.hi > end {
-			size += v.hi - end
-			end = v.hi
-		}
-	}
-	return size
 }
 
 // satMul multiplies non-negative ints, saturating at MaxInt.

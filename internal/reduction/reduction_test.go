@@ -1,6 +1,7 @@
 package reduction
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -111,30 +112,36 @@ func TestSetCoverGreedyThroughReduction(t *testing.T) {
 
 func TestTwoIntervalReduction(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
+	var trials []sched.MultiInstance
 	for trial := 0; trial < 40; trial++ {
-		mi := workload.FeasibleMultiInterval(rng, 2+rng.Intn(4), 3+rng.Intn(2), 1, 12)
+		trials = append(trials, workload.FeasibleMultiInterval(rng, 2+rng.Intn(4), 3+rng.Intn(2), 1, 12))
+	}
+	for trial, mi := range trials {
 		if mi.MaxIntervalsPerJob() <= 2 {
 			continue // nothing to reduce; covered by TestTwoIntervalIdentity
 		}
-		r := ToTwoInterval(mi)
-		for _, j := range r.Reduced.Jobs {
-			if len(j.Intervals) > 2 {
-				t.Fatalf("trial %d: reduced job has %d intervals", trial, len(j.Intervals))
+		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) {
+			t.Parallel()
+			r := ToTwoInterval(mi)
+			for _, j := range r.Reduced.Jobs {
+				if len(j.Intervals) > 2 {
+					t.Fatalf("trial %d: reduced job has %d intervals", trial, len(j.Intervals))
+				}
 			}
-		}
-		optOrig, ok := exact.SpansMulti(mi)
-		if !ok {
-			t.Fatalf("trial %d: original infeasible", trial)
-		}
-		if mi.N()+r.Reduced.N() <= exact.MaxOracleJobs+mi.N() && r.Reduced.N() <= exact.MaxOracleJobs {
-			optRed, ok := exact.SpansMulti(r.Reduced)
+			optOrig, ok := exact.SpansMulti(mi)
 			if !ok {
-				t.Fatalf("trial %d: reduced infeasible", trial)
+				t.Fatalf("trial %d: original infeasible", trial)
 			}
-			if optRed != optOrig+1 {
-				t.Fatalf("trial %d: reduced opt %d, want original %d + 1", trial, optRed, optOrig)
+			if mi.N()+r.Reduced.N() <= exact.MaxOracleJobs+mi.N() && r.Reduced.N() <= exact.MaxOracleJobs {
+				optRed, ok := exact.SpansMulti(r.Reduced)
+				if !ok {
+					t.Fatalf("trial %d: reduced infeasible", trial)
+				}
+				if optRed != optOrig+1 {
+					t.Fatalf("trial %d: reduced opt %d, want original %d + 1", trial, optRed, optOrig)
+				}
 			}
-		}
+		})
 	}
 }
 
@@ -192,30 +199,36 @@ func TestTwoIntervalIdentity(t *testing.T) {
 
 func TestThreeUnitReduction(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
+	var trials []sched.MultiInstance
 	for trial := 0; trial < 30; trial++ {
-		mi := workload.FeasibleUnitMulti(rng, 2+rng.Intn(3), 4+rng.Intn(2), 14)
-		r := ToThreeUnit(mi)
-		for _, j := range r.Reduced.Jobs {
-			if j.NumTimes() > 3 {
-				t.Fatalf("trial %d: reduced job has %d times", trial, j.NumTimes())
+		trials = append(trials, workload.FeasibleUnitMulti(rng, 2+rng.Intn(3), 4+rng.Intn(2), 14))
+	}
+	for trial, mi := range trials {
+		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) {
+			t.Parallel()
+			r := ToThreeUnit(mi)
+			for _, j := range r.Reduced.Jobs {
+				if j.NumTimes() > 3 {
+					t.Fatalf("trial %d: reduced job has %d times", trial, j.NumTimes())
+				}
+				if !j.UnitIntervals() {
+					t.Fatalf("trial %d: reduced job has non-unit interval", trial)
+				}
 			}
-			if !j.UnitIntervals() {
-				t.Fatalf("trial %d: reduced job has non-unit interval", trial)
+			optOrig, ok := exact.SpansMulti(mi)
+			if !ok {
+				t.Fatalf("trial %d: original infeasible", trial)
 			}
-		}
-		optOrig, ok := exact.SpansMulti(mi)
-		if !ok {
-			t.Fatalf("trial %d: original infeasible", trial)
-		}
-		if r.Reduced.N() <= exact.MaxOracleJobs {
-			optRed, ok2 := exact.SpansMulti(r.Reduced)
-			if !ok2 {
-				t.Fatalf("trial %d: reduced infeasible", trial)
+			if r.Reduced.N() <= exact.MaxOracleJobs {
+				optRed, ok2 := exact.SpansMulti(r.Reduced)
+				if !ok2 {
+					t.Fatalf("trial %d: reduced infeasible", trial)
+				}
+				if optRed != optOrig+1 {
+					t.Fatalf("trial %d: reduced opt %d, want %d", trial, optRed, optOrig+1)
+				}
 			}
-			if optRed != optOrig+1 {
-				t.Fatalf("trial %d: reduced opt %d, want %d", trial, optRed, optOrig+1)
-			}
-		}
+		})
 	}
 }
 
